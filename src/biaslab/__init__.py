@@ -66,7 +66,6 @@ from .detector import (
     ConfidenceHorizon,
     ThresholdVerdict,
     Verdict,
-    cached_design,
     empirical_sample_complexity,
     estimate_bias,
     steps_for_confidence,
@@ -107,7 +106,6 @@ __all__ = [
     "bias_function_from_config",
     "biased_belief",
     "build_lp",
-    "cached_design",
     "check_assumptions",
     "classify",
     "construct_finite_scheme",

@@ -6,6 +6,7 @@ posterior back toward the prior.  ``preference_sign`` is the algebraic
 shortcut for the same comparison, used to cross-validate simulations.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,31 @@ def preference_sign(
     return 1 if expr > 0 else -1
 
 
+def episode_sampler(instance: Instance, scheme: SignalingScheme):
+    """Return ``draw(rng) -> (state index, signal index)`` for one scheme.
+
+    Each draw consumes exactly two ``rng.random()`` values: the state by
+    inverse CDF over the prior, then the signal by inverse CDF over the
+    scheme's conditional column for that state, scaled by the column's
+    total.  The cumulative tables are built once here, so a caller running
+    many episodes on one scheme pays for them once.
+    """
+    state_cdf = np.cumsum(instance.prior.probs).tolist()
+    signal_cdfs = np.cumsum(scheme.cond, axis=0).T.tolist()
+    last_state = instance.n_states - 1
+    n_signals = scheme.n_signals
+
+    def draw(rng: np.random.Generator) -> tuple:
+        t = min(bisect_right(state_cdf, rng.random()), last_state)
+        signal_cdf = signal_cdfs[t]
+        s = bisect_right(signal_cdf, rng.random() * signal_cdf[-1])
+        if s >= n_signals:  # guard against cumulative rounding
+            s = int(np.max(np.flatnonzero(scheme.cond[:, t] > 0.0)))
+        return t, s
+
+    return draw
+
+
 def sample_episode(
     agent: BiasedAgent, instance: Instance, scheme: SignalingScheme, rng: np.random.Generator
 ) -> tuple:
@@ -74,17 +100,10 @@ def sample_episode(
 
     The state comes from the prior, the signal from the committed scheme's
     conditional row, and the action from the agent.  Deterministic given
-    the generator state.
+    the generator state.  This is the one-episode reference; a threshold
+    test draws through the same ``episode_sampler`` but asks the agent for
+    its response to each signal only once.
     """
-    state_cdf = np.cumsum(instance.prior.probs)
-    t = int(np.searchsorted(state_cdf, rng.random(), side="right"))
-    t = min(t, instance.n_states - 1)
-
-    col = scheme.cond[:, t]
-    signal_cdf = np.cumsum(col)
-    s = int(np.searchsorted(signal_cdf, rng.random() * signal_cdf[-1], side="right"))
-    if s >= scheme.n_signals:  # guard against cumulative rounding
-        s = int(np.max(np.flatnonzero(col > 0.0)))
-
+    t, s = episode_sampler(instance, scheme)(rng)
     signal = scheme.signals[s]
     return instance.states[t], signal, agent_act(agent, instance, scheme, signal)

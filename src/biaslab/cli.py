@@ -8,6 +8,7 @@ or 0) so identical invocations produce byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from .agent import BiasedAgent
 from .bias_models import bias_function_from_config
 from .core import Instance, TieBreak, load_instance
 from .design import design_scheme
-from .detector import cached_design, empirical_sample_complexity, estimate_bias
+from .detector import empirical_sample_complexity, estimate_bias
 from .errors import (
     BiasLabError,
     DegenerateParameters,
@@ -54,6 +55,8 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(EXIT_USAGE, message)
 
 
+# Built on first use and reused: parse_args keeps no state between calls.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="biaslab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -166,7 +169,7 @@ def _run(args) -> tuple[int, str]:
         instance = _load(args.instance)
         rng = np.random.default_rng(_resolve_seed(args.seed))
         estimate = empirical_sample_complexity(instance, args.tau, _agent(args), rng, args.trials)
-        design = cached_design(instance, args.tau)
+        design = design_scheme(instance, args.tau)
         return EXIT_OK, _dumps(
             {
                 "tau": args.tau,

@@ -8,14 +8,13 @@ for the hidden bias level.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .agent import BiasedAgent, sample_episode
+from .agent import BiasedAgent, agent_act, episode_sampler
 from .core import ZERO_MASS, Instance, SignalingScheme
-from .design import DesignResult, design_scheme
+from .design import design_scheme
 from .errors import DegenerateParameters, NothingTestable, Timeout
 from .geometry import testable_range
 
@@ -82,12 +81,6 @@ class ComplexityEstimate(NamedTuple):
     stderr: float | None
 
 
-@lru_cache(maxsize=4096)
-def cached_design(instance: Instance, tau: float) -> DesignResult:
-    """Design once per (instance, threshold); binary search reuses it."""
-    return design_scheme(instance, tau)
-
-
 def steps_for_confidence(p_star: float, delta: float) -> ConfidenceHorizon:
     """Episodes needed so a useful signal arrives with probability 1 - delta.
 
@@ -127,18 +120,44 @@ def threshold_test_on_scheme(
     signal lands within ``max_steps``.
     """
     useful = set(useful_signals)
+    signals = scheme.signals
+    is_useful = [s in useful for s in signals]
+    draw = episode_sampler(instance, scheme)
+    # The agent's response to a signal is fixed within one test, so it is
+    # computed the first time an episode needs it.
+    responses = {}
+
+    def respond(s: int) -> str:
+        if s not in responses:
+            responses[s] = agent_act(agent, instance, scheme, signals[s])
+        return responses[s]
+
     trace = [] if record_trace else None
     for step in range(1, max_steps + 1):
-        episode = sample_episode(agent, instance, scheme, rng)
+        t, s = draw(rng)
         if record_trace:
-            trace.append(episode)
-        _, signal, action = episode
-        if signal in useful:
-            verdict = Verdict.GEQ if action == instance.default_action else Verdict.LEQ
+            trace.append((instance.states[t], signals[s], respond(s)))
+        if is_useful[s]:
+            verdict = Verdict.GEQ if respond(s) == instance.default_action else Verdict.LEQ
             return ThresholdVerdict(
                 verdict=verdict, steps=step, trace=tuple(trace) if record_trace else None
             )
     raise Timeout(max_steps)
+
+
+def _test_plan(instance: Instance, tau: float, max_steps: int | None) -> tuple:
+    """Design the scheme for ``tau``; return it with its useful signals (the
+    non-default recommendations that are ever sent) and the step budget."""
+    design = design_scheme(instance, tau)
+    probs = design.scheme.signal_probs(instance.prior)
+    useful = [
+        s
+        for i, s in enumerate(design.scheme.signals)
+        if s != instance.default_action and probs[i] > ZERO_MASS
+    ]
+    if max_steps is None:
+        max_steps = steps_for_confidence(design.useful_mass, DEFAULT_TIMEOUT_DELTA).exact
+    return design.scheme, useful, max_steps
 
 
 def threshold_test(
@@ -151,22 +170,12 @@ def threshold_test(
 ) -> ThresholdVerdict:
     """Decide whether the agent's bias is >= tau or <= tau.
 
-    Designs (or reuses) the optimal direct scheme for ``tau``; useful
-    signals are the non-default recommendations.  Raises Untestable when
-    the threshold cannot be tested at all.
+    Designs the optimal direct scheme for ``tau``; useful signals are the
+    non-default recommendations.  Raises Untestable when the threshold
+    cannot be tested at all.
     """
-    design = cached_design(instance, tau)
-    probs = design.scheme.signal_probs(instance.prior)
-    useful = [
-        s
-        for i, s in enumerate(design.scheme.signals)
-        if s != instance.default_action and probs[i] > ZERO_MASS
-    ]
-    if max_steps is None:
-        max_steps = steps_for_confidence(design.useful_mass, DEFAULT_TIMEOUT_DELTA).exact
-    return threshold_test_on_scheme(
-        instance, design.scheme, useful, agent, rng, max_steps, record_trace
-    )
+    scheme, useful, max_steps = _test_plan(instance, tau, max_steps)
+    return threshold_test_on_scheme(instance, scheme, useful, agent, rng, max_steps, record_trace)
 
 
 def empirical_sample_complexity(
@@ -180,14 +189,15 @@ def empirical_sample_complexity(
 
     The step count is geometric with success probability equal to the
     designed useful mass, so the mean converges to its reciprocal.  The
+    scheme is designed once and every trial runs a test on it.  The
     standard error is None for a single trial.
     """
     if trials < 1:
         raise DegenerateParameters(f"trials={trials}")
-    cached_design(instance, tau)  # fail fast on untestable thresholds
+    scheme, useful, max_steps = _test_plan(instance, tau, None)
     steps = np.empty(trials)
     for k in range(trials):
-        steps[k] = threshold_test(instance, tau, agent, rng).steps
+        steps[k] = threshold_test_on_scheme(instance, scheme, useful, agent, rng, max_steps).steps
     mean = float(steps.mean())
     stderr = float(steps.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None
     return ComplexityEstimate(mean=mean, stderr=stderr)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,11 +7,18 @@ import pytest
 import biaslab as bl
 from biaslab import (
     BiasedAgent,
+    LinearBias,
+    SignalingScheme,
+    TieBreak,
     Verdict,
+    WarpedLinear,
+    design_scheme,
     empirical_sample_complexity,
     estimate_bias,
+    sample_episode,
     steps_for_confidence,
     threshold_test,
+    threshold_test_on_scheme,
 )
 from biaslab.errors import (
     DegenerateParameters,
@@ -65,7 +73,7 @@ class TestThresholdTest:
             inst = random_instance(rng)
             for tau in (0.2, 0.5, 0.8):
                 try:
-                    bl.cached_design(inst, tau)
+                    bl.design_scheme(inst, tau)
                 except Untestable:
                     continue
                 for w, expected in ((tau - 0.05, Verdict.LEQ), (tau + 0.05, Verdict.GEQ)):
@@ -75,6 +83,74 @@ class TestThresholdTest:
     def test_json(self, twostate_instance):
         v = threshold_test(twostate_instance, 0.5, BiasedAgent(w=0.3), np.random.default_rng(1))
         assert v.to_json_dict() == {"verdict": "leq", "steps": v.steps}
+
+
+@dataclass
+class CountingBias:
+    """LinearBias that counts its evaluations."""
+
+    name: str = "counting"
+    calls: int = 0
+
+    def evaluate(self, prior, posterior, w):
+        self.calls += 1
+        return LinearBias().evaluate(prior, posterior, w)
+
+
+def _loop_cases(twostate, symmetric3):
+    """(instance, scheme, useful signals): two designed schemes, and the
+    two-state design plus a signal that is never sent yet counts as useful."""
+    two = design_scheme(twostate, 0.5).scheme
+    silent = SignalingScheme(
+        signals=two.signals + ("Never",), cond=np.vstack([two.cond, np.zeros((1, 2))])
+    )
+    sym = design_scheme(symmetric3, 0.5).scheme
+    return [
+        (twostate, two, ["Active"]),
+        (twostate, silent, ["Active", "Never"]),
+        (symmetric3, sym, ["a1", "a2"]),
+    ]
+
+
+class TestEpisodeLoop:
+    """threshold_test_on_scheme against successive sample_episode calls."""
+
+    @pytest.mark.parametrize("bias_fn", [LinearBias(), WarpedLinear(gamma=2.0)])
+    @pytest.mark.parametrize("tiebreak", list(TieBreak))
+    def test_trace_matches_reference_episodes(
+        self, twostate_instance, symmetric3_instance, bias_fn, tiebreak
+    ):
+        for inst, scheme, useful in _loop_cases(twostate_instance, symmetric3_instance):
+            for k, w in enumerate((0.3, 0.5, 0.5**0.5, 0.7)):
+                agent = BiasedAgent(w=w, bias_fn=bias_fn, tiebreak=tiebreak)
+                loop_rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+                for _ in range(20):
+                    v = threshold_test_on_scheme(
+                        inst, scheme, useful, agent, loop_rng, 10_000, record_trace=True
+                    )
+                    reference = [sample_episode(agent, inst, scheme, ref_rng)]
+                    while reference[-1][1] not in useful:
+                        reference.append(sample_episode(agent, inst, scheme, ref_rng))
+                    assert v.trace == tuple(reference)
+                    assert v.steps == len(reference)
+                    stays = reference[-1][2] == inst.default_action
+                    assert v.verdict == (Verdict.GEQ if stays else Verdict.LEQ)
+                assert loop_rng.random() == ref_rng.random()
+
+    def test_bias_evaluated_once_per_needed_signal(self, twostate_instance, symmetric3_instance):
+        for inst, scheme, useful in _loop_cases(twostate_instance, symmetric3_instance):
+            counting = CountingBias()
+            agent = BiasedAgent(w=0.3, bias_fn=counting)
+            rng = np.random.default_rng(3)
+            for _ in range(50):
+                before = counting.calls
+                threshold_test_on_scheme(inst, scheme, useful, agent, rng, 10_000)
+                assert counting.calls - before == 1
+                before = counting.calls
+                v = threshold_test_on_scheme(
+                    inst, scheme, useful, agent, rng, 10_000, record_trace=True
+                )
+                assert counting.calls - before == len({signal for _, signal, _ in v.trace})
 
 
 class TestStepsForConfidence:
