@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import ATOL, Belief, Instance, SignalingScheme, biased_belief, scheme_from_posteriors, vertex_belief
 from .errors import NotSingleCrossing, OutOfRangeThreshold, Untestable
+from .geometry import _gap_rows
 
 _W_GRID = np.linspace(0.0, 1.0, 101)
 
@@ -69,13 +70,6 @@ def bias_function_from_config(config: Mapping) -> BiasFunction:
     raise ValueError(f"unknown bias model {model!r}")
 
 
-def _gap_matrix(instance: Instance) -> np.ndarray:
-    """Rows of default-minus-action utility gaps, one per non-default action."""
-    d = instance.default_index
-    rows = [instance.utility[d] - instance.utility[a] for a in range(instance.n_actions) if a != d]
-    return np.vstack(rows)
-
-
 def _min_gap(gaps: np.ndarray, belief: Belief) -> float:
     """min over non-default actions of gap . belief; positive inside the
     default region, zero on its boundary, negative outside."""
@@ -114,7 +108,7 @@ def check_assumptions(phi: BiasFunction, instance: Instance, probes: int, rng) -
     reported, not raised.
     """
     prior = instance.prior
-    gaps = _gap_matrix(instance)
+    gaps = _gap_rows(instance)
     endpoints_ok = prior_anchored_ok = single_crossing_ok = interior_stable_ok = True
     counterexamples = []
 
@@ -170,7 +164,7 @@ def crossing_level(phi: BiasFunction, instance: Instance, posterior: Belief) -> 
     bisects the level and returns the crossing point to within 1e-12; a
     coarse scan first rejects paths that cross more than once.
     """
-    gaps = _gap_matrix(instance)
+    gaps = _gap_rows(instance)
     prior = instance.prior
 
     g0 = _min_gap(gaps, phi.evaluate(prior, posterior, 0.0))
@@ -212,14 +206,11 @@ def generalized_membership(phi: BiasFunction, instance: Instance, mu: Belief, ac
         raise ValueError("membership is defined for non-default actions")
     if not 0.0 < tau < 1.0:
         raise OutOfRangeThreshold(f"threshold {tau} outside (0, 1)")
-    a = instance.action_index(action)
-    d = instance.default_index
-    biased = phi.evaluate(instance.prior, mu, tau)
-    gap_a = instance.utility[d] - instance.utility[a]
-    if abs(float(gap_a @ biased.probs)) > ATOL:
-        return False
-    gaps = _gap_matrix(instance)
-    return bool((gaps @ biased.probs).min() >= -ATOL)
+    row = instance.action_index(action)
+    row -= row > instance.default_index  # the gap rows skip the default action
+    biased = phi.evaluate(instance.prior, mu, tau).probs
+    gaps = _gap_rows(instance)
+    return bool(abs(float(gaps[row] @ biased)) <= ATOL and (gaps @ biased).min() >= -ATOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +244,7 @@ def construct_finite_scheme(phi: BiasFunction, instance: Instance, tau: float) -
     if not 0.0 < tau < 1.0:
         raise OutOfRangeThreshold(f"threshold {tau} outside (0, 1)")
     prior = instance.prior
-    gaps = _gap_matrix(instance)
+    gaps = _gap_rows(instance)
     non_default = [a for a in instance.actions if a != instance.default_action]
 
     if _min_gap(gaps, phi.evaluate(prior, prior, tau)) <= ATOL:

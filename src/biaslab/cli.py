@@ -10,7 +10,6 @@ or 0) so identical invocations produce byte-identical output.
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -141,32 +140,29 @@ def _tau_grid(raw) -> list:
 
 
 def _sweep_rows(instance: Instance, grid) -> list:
+    """One row per threshold; an untestable row has ``p_star`` None and
+    ``sample_complexity`` the string "inf", as both output formats print."""
     rows = []
     for tau in grid:
         c = classify(instance, tau)
-        if c.useful_mass is None:
-            p_star, complexity = None, math.inf
-        else:
-            p_star = c.useful_mass
-            complexity = 1.0 / p_star if p_star > 0 else math.inf
+        p_star = c.useful_mass  # None when untestable, else above ATOL
+        complexity = "inf" if p_star is None else 1.0 / p_star
         rows.append({"tau": tau, "p_star": p_star, "sample_complexity": complexity, "verdict": c.verdict.value})
     return rows
 
 
 def _run(args) -> tuple[int, str]:
+    instance = _load(args.instance)  # every subcommand reads one instance
     if args.subcommand == "design":
-        instance = _load(args.instance)
         result = design_scheme(instance, args.tau)
         return EXIT_OK, _dumps(result.to_json_dict())
 
     if args.subcommand == "classify":
-        instance = _load(args.instance)
         c = classify(instance, args.tau)
         code = EXIT_UNTESTABLE if c.useful_mass is None else EXIT_OK
         return code, _dumps(c.to_json_dict())
 
     if args.subcommand == "simulate":
-        instance = _load(args.instance)
         rng = np.random.default_rng(_resolve_seed(args.seed))
         estimate = empirical_sample_complexity(instance, args.tau, _agent(args), rng, args.trials)
         design = design_scheme(instance, args.tau)
@@ -182,26 +178,19 @@ def _run(args) -> tuple[int, str]:
         )
 
     if args.subcommand == "estimate":
-        instance = _load(args.instance)
         rng = np.random.default_rng(_resolve_seed(args.seed))
         interval = estimate_bias(instance, _agent(args), args.epsilon, rng)
         return EXIT_OK, _dumps(interval.to_json_dict())
 
     if args.subcommand == "sweep":
-        instance = _load(args.instance)
         rows = _sweep_rows(instance, _tau_grid(args.tau_grid))
         if args.format == "json":
-            out = []
-            for r in rows:
-                r = dict(r)
-                r["sample_complexity"] = "inf" if math.isinf(r["sample_complexity"]) else r["sample_complexity"]
-                out.append(r)
-            return EXIT_OK, _dumps(out)
+            return EXIT_OK, _dumps(rows)
         lines = ["tau,p_star,sample_complexity,verdict"]
         for r in rows:
             p = "" if r["p_star"] is None else repr(r["p_star"])
-            sc = "inf" if math.isinf(r["sample_complexity"]) else repr(r["sample_complexity"])
-            lines.append(f"{r['tau']!r},{p},{sc},{r['verdict']}")
+            # str of a float is its repr, so finite complexities print as before
+            lines.append(f"{r['tau']!r},{p},{r['sample_complexity']},{r['verdict']}")
         return EXIT_OK, "\n".join(lines) + "\n"
 
     raise _CliError(EXIT_USAGE, f"unknown subcommand {args.subcommand!r}")

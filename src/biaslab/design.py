@@ -9,6 +9,7 @@ recommendations.  The reciprocal of that mass is the expected number of
 episodes until the agent's response reveals the side of the threshold.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ from .errors import (
 )
 
 PIVOT_TOL = 1e-10
-FEAS_TOL = 1e-9
 # Constraint coefficients below this are rounding noise; snapping them to
 # zero keeps behaviour stable when a threshold sits exactly on the edge of
 # the testable range.
@@ -80,7 +80,7 @@ class DesignResult:
 
 @dataclass(frozen=True)
 class DesignReport:
-    """Worst residual per constraint family, recomputed from the scheme."""
+    """Worst residual per constraint family of a checked scheme."""
 
     optimality: float
     indifference: float
@@ -89,15 +89,6 @@ class DesignReport:
 
     def max_residual(self) -> float:
         return max(self.optimality, self.indifference, self.distribution, self.indifference_sim)
-
-
-def _preference_coeffs(instance: Instance, a: int, other: int, tau: float) -> np.ndarray:
-    """Per-state coefficients of the recommendation-a preference row for a over other."""
-    du = instance.utility[a] - instance.utility[other]
-    mean_du = float(instance.prior.probs @ du)
-    coef = instance.prior.probs * ((1.0 - tau) * du + tau * mean_du)
-    coef[np.abs(coef) < COEF_SNAP] = 0.0
-    return coef
 
 
 def build_lp(instance: Instance, tau: float) -> LinearProgram:
@@ -114,40 +105,32 @@ def build_lp(instance: Instance, tau: float) -> LinearProgram:
     nA, nS = instance.n_actions, instance.n_states
     n = nA * nS
     d = instance.default_index
-
-    ge_rows, eq_rows = [], []
-    for a in range(nA):
-        for other in range(nA):
-            if other == a:
-                continue
-            row = np.zeros(n)
-            row[a * nS : (a + 1) * nS] = _preference_coeffs(instance, a, other, tau)
-            ge_rows.append(row)
-    for a in range(nA):
-        if a == d:
-            continue
-        row = np.zeros(n)
-        row[a * nS : (a + 1) * nS] = _preference_coeffs(instance, a, d, tau)
-        eq_rows.append(row)
-    for t in range(nS):
-        row = np.zeros(n)
-        row[t::nS] = 1.0
-        eq_rows.append(row)
+    mu0 = instance.prior.probs
 
     objective = np.zeros(n)
-    for a in range(nA):
-        if a != d:
-            objective[a * nS : (a + 1) * nS] = instance.prior.probs
+    ge = np.zeros((nA * (nA - 1), n))
+    eq = np.zeros((nA - 1 + nS, n))
+    for k, (a, other) in enumerate(itertools.permutations(range(nA), 2)):
+        block = slice(a * nS, (a + 1) * nS)
+        du = instance.utility[a] - instance.utility[other]
+        ge[k, block] = mu0 * ((1.0 - tau) * du + tau * float(mu0 @ du))
+        if other == d:
+            # Indifference with the default is this row held at zero (the
+            # indifference rows skip the default action), and every
+            # non-default recommendation counts toward the objective.
+            eq[a - (a > d)] = ge[k]
+            objective[block] = mu0
+    for t in range(nS):
+        eq[nA - 1 + t, t::nS] = 1.0
+    for rows in (ge, eq):
+        rows[np.abs(rows) < COEF_SNAP] = 0.0
 
-    n_ge = len(ge_rows)
-    n_eq = len(eq_rows)
-    rhs_eq = np.concatenate([np.zeros(nA - 1), np.ones(nS)])
     return LinearProgram(
         objective=objective,
-        ge=np.vstack(ge_rows) if n_ge else np.zeros((0, n)),
-        ge_rhs=np.zeros(n_ge),
-        eq=np.vstack(eq_rows) if n_eq else np.zeros((0, n)),
-        eq_rhs=rhs_eq,
+        ge=ge,
+        ge_rhs=np.zeros(ge.shape[0]),
+        eq=eq,
+        eq_rhs=np.concatenate([np.zeros(nA - 1), np.ones(nS)]),
     )
 
 
@@ -221,7 +204,7 @@ def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
     T[-1, -1] = -b.sum()
 
     _iterate(T, basis, ncols + m)
-    if -T[-1, -1] > FEAS_TOL:
+    if -T[-1, -1] > ATOL:
         raise Infeasible(f"phase-1 residual {-T[-1, -1]:.3g}")
 
     # Drive leftover artificials out of the basis where possible, pivoting
@@ -250,9 +233,9 @@ def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
             x[bi] = T[i, -1]
     solution = np.clip(x[:n], 0.0, None)
 
-    if m_ge and np.min(lp.ge @ solution - lp.ge_rhs) < -FEAS_TOL:
+    if m_ge and np.min(lp.ge @ solution - lp.ge_rhs) < -ATOL:
         raise Numerical("inequality residual above tolerance")
-    if m_eq and np.max(np.abs(lp.eq @ solution - lp.eq_rhs)) > FEAS_TOL:
+    if m_eq and np.max(np.abs(lp.eq @ solution - lp.eq_rhs)) > ATOL:
         raise Numerical("equality residual above tolerance")
     return float(lp.objective @ solution), solution
 
@@ -263,9 +246,8 @@ def design_scheme(instance: Instance, tau: float) -> DesignResult:
     Raises Untestable when no scheme can put positive mass on useful
     signals (the indifference rows admit only the all-default solution).
     """
-    lp = build_lp(instance, tau)
     try:
-        value, x = solve_lp(lp)
+        value, x = solve_lp(build_lp(instance, tau))
     except Infeasible:
         # The all-default scheme always satisfies the rows, so a literal
         # infeasibility cannot occur; treat it as zero useful mass anyway.
@@ -273,9 +255,7 @@ def design_scheme(instance: Instance, tau: float) -> DesignResult:
     cond = x.reshape(instance.n_actions, instance.n_states)
     scheme = SignalingScheme(signals=instance.actions, cond=cond)
 
-    mask = np.ones(instance.n_actions, dtype=bool)
-    mask[instance.default_index] = False
-    useful_mass = float(scheme.signal_probs(instance.prior)[mask].sum())
+    useful_mass = float(np.delete(scheme.signal_probs(instance.prior), instance.default_index).sum())
     if abs(useful_mass - value) > ATOL:
         raise Numerical("objective and recomputed useful mass disagree")
     useful_mass = min(useful_mass, 1.0)  # probability; trim rounding excess
@@ -284,7 +264,7 @@ def design_scheme(instance: Instance, tau: float) -> DesignResult:
     return DesignResult(
         scheme=scheme,
         useful_mass=useful_mass,
-        sample_complexity=1.0 / useful_mass if useful_mass > 0 else math.inf,
+        sample_complexity=1.0 / useful_mass,
         threshold=tau,
     )
 
@@ -297,62 +277,56 @@ _SIM_MASS_FLOOR = 1e-6
 
 
 def verify_design(instance: Instance, tau: float, result: DesignResult) -> DesignReport:
-    """Recheck a design from scratch and cross-validate by simulation.
+    """Check a design against the LP rows and cross-validate by simulation.
 
-    Recomputes all three constraint families directly from the scheme, then
-    independently confirms indifference: mix each useful signal's posterior
-    with the prior at weight ``tau`` and compare the expected utilities of
-    the recommended and default actions.  Raises VerificationFailed when
-    any residual exceeds 1e-8.
+    Evaluates the scheme on the rows of ``build_lp(instance, tau)``: the
+    optimality inequalities, the indifference equalities and the
+    distribution equalities.  Then independently confirms indifference:
+    mix each useful signal's posterior with the prior at weight ``tau`` and
+    compare the expected utilities of the recommended and default actions.
+    Raises VerificationFailed when a residual exceeds 1e-8; the message
+    names each failing row, and the distribution rows by their worst one.
     """
     scheme = result.scheme
     nA, nS = instance.n_actions, instance.n_states
     if scheme.n_signals != nA or scheme.n_states != nS:
         raise VerificationFailed("scheme shape does not match the instance")
     d = instance.default_index
-    cond = scheme.cond
+    signals = scheme.signals
 
-    opt = 0.0
-    violations = []
-    for a in range(nA):
-        for other in range(nA):
-            if other == a:
-                continue
-            row = float(_preference_coeffs(instance, a, other, tau) @ cond[a])
-            if -row > opt:
-                opt = -row
-            if -row > 1e-8:
-                violations.append(
-                    f"optimality({scheme.signals[a]} over {scheme.signals[other]}): {row:.3g}"
-                )
-    opt = max(opt, 0.0)
+    lp = build_lp(instance, tau)
+    x = scheme.cond.ravel()
+    ge_rows = lp.ge @ x - lp.ge_rhs
+    eq_rows = np.abs(lp.eq @ x - lp.eq_rhs)  # indifference rows, then distribution rows
+    non_default = [a for a in range(nA) if a != d]
 
-    ind = 0.0
-    for a in range(nA):
-        if a == d:
-            continue
-        row = abs(float(_preference_coeffs(instance, a, d, tau) @ cond[a]))
-        ind = max(ind, row)
-        if row > 1e-8:
-            violations.append(f"indifference({scheme.signals[a]}): {row:.3g}")
-
-    dist = float(np.max(np.abs(cond.sum(axis=0) - 1.0)))
+    violations = [
+        f"optimality({signals[a]} over {signals[other]}): {row:.3g}"
+        for (a, other), row in zip(itertools.permutations(range(nA), 2), ge_rows)
+        if -row > 1e-8
+    ]
+    violations += [
+        f"indifference({signals[a]}): {row:.3g}" for a, row in zip(non_default, eq_rows) if row > 1e-8
+    ]
+    dist = float(eq_rows[nA - 1 :].max())
     if dist > 1e-8:
         violations.append(f"distribution: {dist:.3g}")
 
     sim = 0.0
     probs = scheme.signal_probs(instance.prior)
-    for a in range(nA):
-        if a == d or probs[a] <= _SIM_MASS_FLOOR:
+    for a in non_default:
+        if probs[a] <= _SIM_MASS_FLOOR:
             continue
-        posterior = bayes_posterior(instance, scheme, scheme.signals[a])
+        posterior = bayes_posterior(instance, scheme, signals[a])
         nu = biased_belief(instance.prior, posterior, tau)
         eu = instance.expected_utilities(nu)
         gap = abs(float(eu[a] - eu[d]))
         sim = max(sim, gap)
         if gap > 1e-8:
-            violations.append(f"simulated indifference({scheme.signals[a]}): {gap:.3g}")
+            violations.append(f"simulated indifference({signals[a]}): {gap:.3g}")
 
     if violations:
         raise VerificationFailed("; ".join(violations))
+    opt = max(0.0, -float(ge_rows.min()))
+    ind = float(eq_rows[: nA - 1].max())
     return DesignReport(optimality=opt, indifference=ind, distribution=dist, indifference_sim=sim)

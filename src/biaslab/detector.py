@@ -6,6 +6,8 @@ testable thresholds turns those one-bit answers into a confidence interval
 for the hidden bias level.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -103,6 +105,35 @@ def steps_for_confidence(p_star: float, delta: float) -> ConfidenceHorizon:
     return ConfidenceHorizon(exact=exact, bound=bound)
 
 
+def _threshold_tests(instance, scheme, useful_signals, agent, rng, max_steps, record_trace=False):
+    """Yield successive ``threshold_test_on_scheme`` results for its arguments.
+
+    The sampler is built once, and the agent's response to a signal, fixed
+    for one scheme and agent, is computed when an episode first needs it.
+    """
+    useful = set(useful_signals)
+    signals = scheme.signals
+    is_useful = [s in useful for s in signals]
+    draw = episode_sampler(instance, scheme)
+
+    @functools.cache
+    def respond(s: int) -> str:
+        return agent_act(agent, instance, scheme, signals[s])
+
+    while True:
+        trace = []
+        for step in range(1, max_steps + 1):
+            t, s = draw(rng)
+            if record_trace:
+                trace.append((instance.states[t], signals[s], respond(s)))
+            if is_useful[s]:
+                break
+        else:
+            raise Timeout(max_steps)
+        verdict = Verdict.GEQ if respond(s) == instance.default_action else Verdict.LEQ
+        yield ThresholdVerdict(verdict=verdict, steps=step, trace=tuple(trace) if record_trace else None)
+
+
 def threshold_test_on_scheme(
     instance: Instance,
     scheme: SignalingScheme,
@@ -119,30 +150,7 @@ def threshold_test_on_scheme(
     for, anything else means at or below.  Raises Timeout if no useful
     signal lands within ``max_steps``.
     """
-    useful = set(useful_signals)
-    signals = scheme.signals
-    is_useful = [s in useful for s in signals]
-    draw = episode_sampler(instance, scheme)
-    # The agent's response to a signal is fixed within one test, so it is
-    # computed the first time an episode needs it.
-    responses = {}
-
-    def respond(s: int) -> str:
-        if s not in responses:
-            responses[s] = agent_act(agent, instance, scheme, signals[s])
-        return responses[s]
-
-    trace = [] if record_trace else None
-    for step in range(1, max_steps + 1):
-        t, s = draw(rng)
-        if record_trace:
-            trace.append((instance.states[t], signals[s], respond(s)))
-        if is_useful[s]:
-            verdict = Verdict.GEQ if respond(s) == instance.default_action else Verdict.LEQ
-            return ThresholdVerdict(
-                verdict=verdict, steps=step, trace=tuple(trace) if record_trace else None
-            )
-    raise Timeout(max_steps)
+    return next(_threshold_tests(instance, scheme, useful_signals, agent, rng, max_steps, record_trace))
 
 
 def _test_plan(instance: Instance, tau: float, max_steps: int | None) -> tuple:
@@ -189,15 +197,15 @@ def empirical_sample_complexity(
 
     The step count is geometric with success probability equal to the
     designed useful mass, so the mean converges to its reciprocal.  The
-    scheme is designed once and every trial runs a test on it.  The
-    standard error is None for a single trial.
+    scheme is designed once, the agent is asked once per signal, and every
+    trial runs a test on that scheme.  The standard error is None for a
+    single trial.
     """
     if trials < 1:
         raise DegenerateParameters(f"trials={trials}")
     scheme, useful, max_steps = _test_plan(instance, tau, None)
-    steps = np.empty(trials)
-    for k in range(trials):
-        steps[k] = threshold_test_on_scheme(instance, scheme, useful, agent, rng, max_steps).steps
+    tests = _threshold_tests(instance, scheme, useful, agent, rng, max_steps)
+    steps = np.array([v.steps for v in itertools.islice(tests, trials)], dtype=float)
     mean = float(steps.mean())
     stderr = float(steps.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None
     return ComplexityEstimate(mean=mean, stderr=stderr)

@@ -82,8 +82,24 @@ def translated_set_nonempty(instance: Instance, action, tau: float) -> bool:
     so the test reduces to the minimum coefficient reaching the offset.
     """
     offset = indifference_offset(instance, action, tau)
-    gap = gap_vector(instance, action)
-    return float(gap.coeffs.min()) <= offset + ATOL
+    return float(gap_vector(instance, action).coeffs.min()) <= offset + ATOL
+
+
+def _gap_rows(instance: Instance) -> np.ndarray:
+    """Default-minus-action utility gaps, one row per non-default action in
+    action order; each row is positive at the prior."""
+    d = instance.default_index
+    u = instance.utility
+    # Built row by row into C order: ``utility`` is column-major, and dot
+    # products over strided rows round differently from contiguous ones.
+    return np.array([u[d] - u[a] for a in range(instance.n_actions) if a != d])
+
+
+def _tau_max(gaps: np.ndarray, mu0: np.ndarray) -> float:
+    """``testable_range`` from the gap rows: per row, the reach below zero
+    over the value at the prior, mapped from odds to a threshold."""
+    ratios = [max(0.0, -float(gap.min())) / float(gap @ mu0) for gap in gaps]
+    return max(0.0, *(ratio / (1.0 + ratio) for ratio in ratios))
 
 
 def testable_range(instance: Instance) -> float:
@@ -92,28 +108,7 @@ def testable_range(instance: Instance) -> float:
     Zero when the default action weakly dominates everywhere: beliefs then
     never leave the default region and actions carry no information.
     """
-    best = 0.0
-    mu0 = instance.prior.probs
-    for action in instance.actions:
-        if action == instance.default_action:
-            continue
-        gap = gap_vector(instance, action)
-        reach = max(0.0, -float(gap.coeffs.min()))
-        ratio = reach / float(gap.coeffs @ mu0)
-        best = max(best, ratio / (1.0 + ratio))
-    return best
-
-
-def _emptiness_margins(instance: Instance, tau: float) -> dict:
-    """offset - min_coeff per non-default action (nonnegative => nonempty)."""
-    margins = {}
-    for action in instance.actions:
-        if action == instance.default_action:
-            continue
-        offset = indifference_offset(instance, action, tau)
-        gap = gap_vector(instance, action)
-        margins[action] = offset - float(gap.coeffs.min())
-    return margins
+    return _tau_max(_gap_rows(instance), instance.prior.probs)
 
 
 def classify(instance: Instance, tau: float) -> Classification:
@@ -121,18 +116,26 @@ def classify(instance: Instance, tau: float) -> Classification:
 
     Single sample when the design LP reaches useful mass 1, finite when the
     mass is positive, untestable when it is zero.  The geometric emptiness
-    test must agree with the LP outcome; a disagreement beyond the shared
-    tolerance can only come from a solver defect and raises
+    test (the offset of each shifted hyperplane minus its gap's minimum
+    coefficient, nonnegative when the translated set is nonempty) must
+    agree with the LP outcome; a disagreement beyond the shared tolerance
+    can only come from a solver defect and raises
     InconsistentClassification.
     """
-    margins = _emptiness_margins(instance, tau)
-    nonempty = tuple(a for a in instance.actions if margins.get(a, -1.0) >= -ATOL)
-    tau_max = testable_range(instance)
-
     try:
         value, _ = solve_lp(build_lp(instance, tau))
     except Infeasible:
         value = 0.0
+
+    gaps = _gap_rows(instance)
+    mu0 = instance.prior.probs
+    tau_max = _tau_max(gaps, mu0)
+    actions = [a for a in instance.actions if a != instance.default_action]
+    margins = {
+        action: -tau / (1.0 - tau) * float(gap @ mu0) - float(gap.min())
+        for action, gap in zip(actions, gaps)
+    }
+    nonempty = tuple(a for a, m in margins.items() if m >= -ATOL)
 
     if value <= ATOL:
         strictly_nonempty = [a for a, m in margins.items() if m > ATOL]

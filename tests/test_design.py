@@ -246,6 +246,29 @@ class TestVerifyDesign:
         with pytest.raises(VerificationFailed, match="indifference"):
             verify_design(twostate_instance, 0.5, bad)
 
+    def test_dominated_recommendation_fails_optimality(self, twostate_instance):
+        # Bolder pays 0.05 more than Active in every state, so a scheme that
+        # recommends Active as the two-state design does breaks optimality
+        # while both indifference checks still hold.
+        u = np.asarray(twostate_instance.utility)
+        inst = make_instance(
+            states=twostate_instance.states,
+            actions=["Active", "Passive", "Bolder"],
+            prior=twostate_instance.prior.probs,
+            utility=np.vstack([u, u[0] + 0.05]),
+        )
+        res = design_scheme(twostate_instance, 0.5)
+        cond = np.vstack([res.scheme.cond, np.zeros((1, 2))])  # Bolder never sent
+        bad = DesignResult(
+            scheme=SignalingScheme(signals=inst.actions, cond=cond),
+            useful_mass=res.useful_mass,
+            sample_complexity=res.sample_complexity,
+            threshold=res.threshold,
+        )
+        with pytest.raises(VerificationFailed, match=r"optimality\(Active over Bolder\)") as exc:
+            verify_design(inst, 0.5, bad)
+        assert "indifference" not in str(exc.value)
+
     def test_all_default_scheme_is_feasible_but_useless(self, twostate_instance):
         # Recommending the default everywhere satisfies every constraint
         # row trivially; it is just not a test: zero useful mass.

@@ -20,6 +20,7 @@ from biaslab import (
     threshold_test,
     threshold_test_on_scheme,
 )
+from biaslab.detector import DEFAULT_TIMEOUT_DELTA
 from biaslab.errors import (
     DegenerateParameters,
     NothingTestable,
@@ -151,6 +152,44 @@ class TestEpisodeLoop:
                     inst, scheme, useful, agent, rng, 10_000, record_trace=True
                 )
                 assert counting.calls - before == len({signal for _, signal, _ in v.trace})
+
+    @pytest.mark.parametrize("bias_fn", [LinearBias(), WarpedLinear(gamma=2.0)])
+    def test_trials_match_successive_single_tests(
+        self, twostate_instance, symmetric3_instance, bias_fn
+    ):
+        for inst, tau in ((twostate_instance, 0.5), (twostate_instance, 0.3), (symmetric3_instance, 0.5)):
+            design = design_scheme(inst, tau)
+            probs = design.scheme.signal_probs(inst.prior)
+            useful = [
+                s for s, p in zip(design.scheme.signals, probs) if s != inst.default_action and p > 0
+            ]
+            horizon = steps_for_confidence(design.useful_mass, DEFAULT_TIMEOUT_DELTA).exact
+            for k, (w, trials) in enumerate(((0.2, 1), (0.3, 150), (0.7, 150))):
+                agent = BiasedAgent(w=w, bias_fn=bias_fn)
+                rng, twin = np.random.default_rng(k), np.random.default_rng(k)
+                est = empirical_sample_complexity(inst, tau, agent, rng, trials)
+                steps = np.array(
+                    [
+                        threshold_test_on_scheme(inst, design.scheme, useful, agent, twin, horizon).steps
+                        for _ in range(trials)
+                    ],
+                    dtype=float,
+                )
+                stderr = float(steps.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None
+                assert est == (float(steps.mean()), stderr)
+                assert rng.random() == twin.random()
+
+    def test_trials_evaluate_bias_once_per_useful_signal(
+        self, twostate_instance, symmetric3_instance
+    ):
+        for inst, n_useful in ((twostate_instance, 1), (symmetric3_instance, 2)):
+            counting = CountingBias()
+            agent = BiasedAgent(w=0.3, bias_fn=counting)
+            rng = np.random.default_rng(5)
+            for _ in range(3):
+                before = counting.calls
+                empirical_sample_complexity(inst, 0.5, agent, rng, 500)
+                assert 1 <= counting.calls - before <= n_useful
 
 
 class TestStepsForConfidence:
