@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import ATOL, Belief, Instance, SignalingScheme, biased_belief, scheme_from_posteriors, vertex_belief
 from .errors import NotSingleCrossing, OutOfRangeThreshold, Untestable
-from .geometry import _gap_rows
 
 _W_GRID = np.linspace(0.0, 1.0, 101)
 
@@ -70,10 +69,10 @@ def bias_function_from_config(config: Mapping) -> BiasFunction:
     raise ValueError(f"unknown bias model {model!r}")
 
 
-def _min_gap(gaps: np.ndarray, belief: Belief) -> float:
+def _min_gap(instance: Instance, belief: Belief) -> float:
     """min over non-default actions of gap . belief; positive inside the
     default region, zero on its boundary, negative outside."""
-    return float((gaps @ belief.probs).min())
+    return float((instance.gaps @ belief.probs).min())
 
 
 @dataclass(frozen=True)
@@ -108,12 +107,11 @@ def check_assumptions(phi: BiasFunction, instance: Instance, probes: int, rng) -
     reported, not raised.
     """
     prior = instance.prior
-    gaps = _gap_rows(instance)
     endpoints_ok = prior_anchored_ok = single_crossing_ok = interior_stable_ok = True
     counterexamples = []
 
     for w in _W_GRID:
-        if _min_gap(gaps, phi.evaluate(prior, prior, float(w))) <= 0.0 and prior_anchored_ok:
+        if _min_gap(instance, phi.evaluate(prior, prior, float(w))) <= 0.0 and prior_anchored_ok:
             prior_anchored_ok = False
             counterexamples.append(("prior_anchored", prior, float(w)))
 
@@ -128,8 +126,8 @@ def check_assumptions(phi: BiasFunction, instance: Instance, probes: int, rng) -
                 counterexamples.append(("endpoints", posterior, None))
             continue
 
-        path = [_min_gap(gaps, phi.evaluate(prior, posterior, float(w))) for w in _W_GRID]
-        start = _min_gap(gaps, posterior)
+        path = [_min_gap(instance, phi.evaluate(prior, posterior, float(w))) for w in _W_GRID]
+        start = _min_gap(instance, posterior)
         if start > ATOL:
             # Interior posterior: must stay in the default region throughout.
             if min(path) <= -ATOL and interior_stable_ok:
@@ -164,16 +162,15 @@ def crossing_level(phi: BiasFunction, instance: Instance, posterior: Belief) -> 
     bisects the level and returns the crossing point to within 1e-12; a
     coarse scan first rejects paths that cross more than once.
     """
-    gaps = _gap_rows(instance)
     prior = instance.prior
 
-    g0 = _min_gap(gaps, phi.evaluate(prior, posterior, 0.0))
+    g0 = _min_gap(instance, phi.evaluate(prior, posterior, 0.0))
     if g0 > ATOL:
         return None
     if abs(g0) <= ATOL:
         return 0.0
 
-    path = [_min_gap(gaps, phi.evaluate(prior, posterior, float(w))) for w in _W_GRID]
+    path = [_min_gap(instance, phi.evaluate(prior, posterior, float(w))) for w in _W_GRID]
     entered = False
     for g in path:
         if g > ATOL:
@@ -192,7 +189,7 @@ def crossing_level(phi: BiasFunction, instance: Instance, posterior: Belief) -> 
             lo = float(w)
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if _min_gap(gaps, phi.evaluate(prior, posterior, mid)) > 0.0:
+        if _min_gap(instance, phi.evaluate(prior, posterior, mid)) > 0.0:
             hi = mid
         else:
             lo = mid
@@ -209,7 +206,7 @@ def generalized_membership(phi: BiasFunction, instance: Instance, mu: Belief, ac
     row = instance.action_index(action)
     row -= row > instance.default_index  # the gap rows skip the default action
     biased = phi.evaluate(instance.prior, mu, tau).probs
-    gaps = _gap_rows(instance)
+    gaps = instance.gaps
     return bool(abs(float(gaps[row] @ biased)) <= ATOL and (gaps @ biased).min() >= -ATOL)
 
 
@@ -244,21 +241,20 @@ def construct_finite_scheme(phi: BiasFunction, instance: Instance, tau: float) -
     if not 0.0 < tau < 1.0:
         raise OutOfRangeThreshold(f"threshold {tau} outside (0, 1)")
     prior = instance.prior
-    gaps = _gap_rows(instance)
     non_default = [a for a in instance.actions if a != instance.default_action]
 
-    if _min_gap(gaps, phi.evaluate(prior, prior, tau)) <= ATOL:
+    if _min_gap(instance, phi.evaluate(prior, prior, tau)) <= ATOL:
         raise NotSingleCrossing("distorted prior does not favor the default action")
 
     best = None  # (useful_mass, state_idx, t, boundary posterior, crossing action)
     for t_idx in range(instance.n_states):
         vertex = vertex_belief(instance.n_states, t_idx)
-        if _min_gap(gaps, phi.evaluate(prior, vertex, tau)) > ATOL:
+        if _min_gap(instance, phi.evaluate(prior, vertex, tau)) > ATOL:
             continue
 
         def image_gap(t: float) -> float:
             point = Belief(t * vertex.probs + (1.0 - t) * prior.probs)
-            return _min_gap(gaps, phi.evaluate(prior, point, tau))
+            return _min_gap(instance, phi.evaluate(prior, point, tau))
 
         lo, hi = 0.0, 1.0  # image_gap(lo) > 0 >= image_gap(hi)
         for _ in range(80):
@@ -272,7 +268,7 @@ def construct_finite_scheme(phi: BiasFunction, instance: Instance, tau: float) -
             raise NotSingleCrossing("bisection did not land on the boundary")
 
         boundary = Belief(t_hat * vertex.probs + (1.0 - t_hat) * prior.probs)
-        margins = gaps @ phi.evaluate(prior, boundary, tau).probs
+        margins = instance.gaps @ phi.evaluate(prior, boundary, tau).probs
         crossing_action = non_default[int(np.argmin(margins))]
         mass = float(prior.probs[t_idx]) / float(boundary.probs[t_idx])
         if best is None or mass > best[0]:

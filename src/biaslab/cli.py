@@ -2,9 +2,10 @@
 
 Subcommands: design, classify, simulate, estimate, sweep.  All output goes
 to stdout as JSON (or CSV for sweep); diagnostics are single lines on
-stderr.  Exit codes: 0 success, 2 usage error, 3 untestable threshold,
-4 invalid input.  Stochastic subcommands are seeded (flag, BIASLAB_SEED,
-or 0) so identical invocations produce byte-identical output.
+stderr.  Exit codes: 0 success, 1 any other library error, 2 usage error,
+3 untestable threshold, 4 invalid input.  Stochastic subcommands are
+seeded (flag, BIASLAB_SEED, or 0) so identical invocations produce
+byte-identical output.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from .agent import BiasedAgent
 from .bias_models import bias_function_from_config
 from .core import Instance, TieBreak, load_instance
 from .design import design_scheme
-from .detector import empirical_sample_complexity, estimate_bias
+from .detector import _sample_complexity, estimate_bias
 from .errors import (
     BiasLabError,
     DegenerateParameters,
@@ -38,20 +39,27 @@ EXIT_USAGE = 2
 EXIT_UNTESTABLE = 3
 EXIT_BAD_INPUT = 4
 
-_USAGE_ERRORS = (OutOfRangeThreshold, OutOfRangeBias, DegenerateParameters)
-_INPUT_ERRORS = (NonSimplexPrior, NoUniqueDefault, ShapeMismatch)
+
+class _UsageError(BiasLabError):
+    """A command-line flag or the BIASLAB_SEED value is invalid."""
 
 
-class _CliError(Exception):
-    def __init__(self, code, message):
-        self.code = code
-        super().__init__(message)
+class _BadInput(BiasLabError):
+    """The instance file cannot be read as UTF-8 JSON."""
+
+
+# Error classes and their exit code; any other BiasLabError exits 1.
+_EXIT_CODES = (
+    ((Untestable, NothingTestable), EXIT_UNTESTABLE),
+    ((_UsageError, OutOfRangeThreshold, OutOfRangeBias, DegenerateParameters), EXIT_USAGE),
+    ((_BadInput, NonSimplexPrior, NoUniqueDefault, ShapeMismatch), EXIT_BAD_INPUT),
+)
 
 
 class _Parser(argparse.ArgumentParser):
     # raise instead of exiting so run_cli can return an exit code
     def error(self, message):
-        raise _CliError(EXIT_USAGE, message)
+        raise _UsageError(message)
 
 
 # Built on first use and reused: parse_args keeps no state between calls.
@@ -97,29 +105,31 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_seed(seed):
-    if seed is not None:
-        return seed
-    env = os.environ.get("BIASLAB_SEED")
-    if not env:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise _CliError(EXIT_USAGE, f"BIASLAB_SEED must be an integer, got {env!r}")
+def _rng(seed) -> np.random.Generator:
+    """Generator seeded from the --seed flag, else BIASLAB_SEED, else 0."""
+    if seed is None:
+        env = os.environ.get("BIASLAB_SEED") or "0"
+        try:
+            seed = int(env)
+        except ValueError:
+            raise _UsageError(f"BIASLAB_SEED must be an integer, got {env!r}")
+    if seed < 0:
+        raise _UsageError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _load(path) -> Instance:
     try:
         return load_instance(path)
-    except _INPUT_ERRORS as exc:
-        raise _CliError(EXIT_BAD_INPUT, str(exc))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _CliError(EXIT_BAD_INPUT, f"cannot read instance file: {exc}")
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise _BadInput(f"cannot read instance file: {exc}")
 
 
 def _agent(args) -> BiasedAgent:
-    bias_fn = bias_function_from_config({"bias_model": args.bias_model, "gamma": args.gamma})
+    try:
+        bias_fn = bias_function_from_config({"bias_model": args.bias_model, "gamma": args.gamma})
+    except ValueError as exc:  # a warped model's gamma must be positive
+        raise _UsageError(str(exc))
     return BiasedAgent(w=args.w, bias_fn=bias_fn, tiebreak=TieBreak(args.tiebreak))
 
 
@@ -133,9 +143,9 @@ def _tau_grid(raw) -> list:
     try:
         grid = [float(v) for v in raw.split(",") if v.strip()]
     except ValueError:
-        raise _CliError(EXIT_USAGE, f"bad --tau-grid {raw!r}")
+        raise _UsageError(f"bad --tau-grid {raw!r}")
     if not grid:
-        raise _CliError(EXIT_USAGE, "empty --tau-grid")
+        raise _UsageError("empty --tau-grid")
     return grid
 
 
@@ -163,9 +173,8 @@ def _run(args) -> tuple[int, str]:
         return code, _dumps(c.to_json_dict())
 
     if args.subcommand == "simulate":
-        rng = np.random.default_rng(_resolve_seed(args.seed))
-        estimate = empirical_sample_complexity(instance, args.tau, _agent(args), rng, args.trials)
-        design = design_scheme(instance, args.tau)
+        rng = _rng(args.seed)
+        estimate, theoretical = _sample_complexity(instance, args.tau, _agent(args), rng, args.trials)
         return EXIT_OK, _dumps(
             {
                 "tau": args.tau,
@@ -173,27 +182,25 @@ def _run(args) -> tuple[int, str]:
                 "trials": args.trials,
                 "mean": estimate.mean,
                 "stderr": estimate.stderr,
-                "theoretical": design.sample_complexity,
+                "theoretical": theoretical,
             }
         )
 
     if args.subcommand == "estimate":
-        rng = np.random.default_rng(_resolve_seed(args.seed))
+        rng = _rng(args.seed)
         interval = estimate_bias(instance, _agent(args), args.epsilon, rng)
         return EXIT_OK, _dumps(interval.to_json_dict())
 
-    if args.subcommand == "sweep":
-        rows = _sweep_rows(instance, _tau_grid(args.tau_grid))
-        if args.format == "json":
-            return EXIT_OK, _dumps(rows)
-        lines = ["tau,p_star,sample_complexity,verdict"]
-        for r in rows:
-            p = "" if r["p_star"] is None else repr(r["p_star"])
-            # str of a float is its repr, so finite complexities print as before
-            lines.append(f"{r['tau']!r},{p},{r['sample_complexity']},{r['verdict']}")
-        return EXIT_OK, "\n".join(lines) + "\n"
-
-    raise _CliError(EXIT_USAGE, f"unknown subcommand {args.subcommand!r}")
+    # sweep: the parser accepts no other subcommand
+    rows = _sweep_rows(instance, _tau_grid(args.tau_grid))
+    if args.format == "json":
+        return EXIT_OK, _dumps(rows)
+    lines = ["tau,p_star,sample_complexity,verdict"]
+    for r in rows:
+        p = "" if r["p_star"] is None else repr(r["p_star"])
+        # str of a float is its repr, so finite complexities print as before
+        lines.append(f"{r['tau']!r},{p},{r['sample_complexity']},{r['verdict']}")
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
 def run_cli(argv) -> tuple[int, str]:
@@ -202,21 +209,10 @@ def run_cli(argv) -> tuple[int, str]:
     try:
         args = parser.parse_args(list(argv))
         return _run(args)
-    except _CliError as exc:
-        print(f"biaslab: {exc}", file=sys.stderr)
-        return exc.code, ""
-    except (Untestable, NothingTestable) as exc:
-        print(f"biaslab: {exc}", file=sys.stderr)
-        return EXIT_UNTESTABLE, ""
-    except _USAGE_ERRORS as exc:
-        print(f"biaslab: {exc}", file=sys.stderr)
-        return EXIT_USAGE, ""
-    except _INPUT_ERRORS as exc:
-        print(f"biaslab: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT, ""
     except BiasLabError as exc:
         print(f"biaslab: {exc}", file=sys.stderr)
-        return 1, ""
+        code = next((code for classes, code in _EXIT_CODES if isinstance(exc, classes)), 1)
+        return code, ""
 
 
 def main() -> None:

@@ -7,7 +7,7 @@ construction and safe to share across threads; all operations are pure.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
@@ -105,9 +105,17 @@ class Instance:
     utility: np.ndarray
     default_action: str
     prior_margin: float
+    # Default-minus-action utility gaps, one row per non-default action in
+    # action order; each row is positive at the prior.  Derived, read-only.
+    gaps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "utility", _frozen(self.utility))
+        u, d = self.utility, self.default_index
+        # Built row by row into C order: ``utility`` is column-major, and dot
+        # products over strided rows round differently from contiguous ones.
+        gaps = [u[d] - u[a] for a in range(self.n_actions) if a != d]
+        object.__setattr__(self, "gaps", _frozen(gaps))
 
     @property
     def n_states(self) -> int:

@@ -154,8 +154,8 @@ def threshold_test_on_scheme(
 
 
 def _test_plan(instance: Instance, tau: float, max_steps: int | None) -> tuple:
-    """Design the scheme for ``tau``; return it with its useful signals (the
-    non-default recommendations that are ever sent) and the step budget."""
+    """Design the scheme for ``tau``; return the design, its useful signals
+    (the non-default recommendations that are ever sent) and the step budget."""
     design = design_scheme(instance, tau)
     probs = design.scheme.signal_probs(instance.prior)
     useful = [
@@ -165,7 +165,7 @@ def _test_plan(instance: Instance, tau: float, max_steps: int | None) -> tuple:
     ]
     if max_steps is None:
         max_steps = steps_for_confidence(design.useful_mass, DEFAULT_TIMEOUT_DELTA).exact
-    return design.scheme, useful, max_steps
+    return design, useful, max_steps
 
 
 def threshold_test(
@@ -182,8 +182,8 @@ def threshold_test(
     non-default recommendations.  Raises Untestable when the threshold
     cannot be tested at all.
     """
-    scheme, useful, max_steps = _test_plan(instance, tau, max_steps)
-    return threshold_test_on_scheme(instance, scheme, useful, agent, rng, max_steps, record_trace)
+    design, useful, max_steps = _test_plan(instance, tau, max_steps)
+    return threshold_test_on_scheme(instance, design.scheme, useful, agent, rng, max_steps, record_trace)
 
 
 def empirical_sample_complexity(
@@ -201,14 +201,19 @@ def empirical_sample_complexity(
     trial runs a test on that scheme.  The standard error is None for a
     single trial.
     """
+    return _sample_complexity(instance, tau, agent, rng, trials)[0]
+
+
+def _sample_complexity(instance, tau, agent, rng, trials) -> tuple[ComplexityEstimate, float]:
+    """``empirical_sample_complexity`` plus the expected test length of its design."""
     if trials < 1:
         raise DegenerateParameters(f"trials={trials}")
-    scheme, useful, max_steps = _test_plan(instance, tau, None)
-    tests = _threshold_tests(instance, scheme, useful, agent, rng, max_steps)
+    design, useful, max_steps = _test_plan(instance, tau, None)
+    tests = _threshold_tests(instance, design.scheme, useful, agent, rng, max_steps)
     steps = np.array([v.steps for v in itertools.islice(tests, trials)], dtype=float)
     mean = float(steps.mean())
     stderr = float(steps.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None
-    return ComplexityEstimate(mean=mean, stderr=stderr)
+    return ComplexityEstimate(mean=mean, stderr=stderr), design.sample_complexity
 
 
 def estimate_bias(

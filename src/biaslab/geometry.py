@@ -60,18 +60,21 @@ def gap_vector(instance: Instance, action) -> GapVector:
     if action == instance.default_action:
         raise DefaultActionGap("the default action has no gap vector")
     a = instance.action_index(action)
-    coeffs = instance.utility[instance.default_index] - instance.utility[a]
+    coeffs = instance.gaps[a - (a > instance.default_index)]  # gaps skips the default
     # Assumption: the default wins strictly at the prior.
     assert float(coeffs @ instance.prior.probs) > ATOL
     return GapVector(action=action, coeffs=coeffs)
+
+
+def _offset(gap: np.ndarray, mu0: np.ndarray, tau: float) -> float:
+    return -tau / (1.0 - tau) * float(gap @ mu0)
 
 
 def indifference_offset(instance: Instance, action, tau: float) -> float:
     """Right-hand side of the shifted indifference hyperplane; always <= 0."""
     if not 0.0 < tau < 1.0:
         raise OutOfRangeThreshold(f"threshold {tau} outside (0, 1)")
-    gap = gap_vector(instance, action)
-    return -tau / (1.0 - tau) * float(gap.coeffs @ instance.prior.probs)
+    return _offset(gap_vector(instance, action).coeffs, instance.prior.probs, tau)
 
 
 def translated_set_nonempty(instance: Instance, action, tau: float) -> bool:
@@ -81,34 +84,23 @@ def translated_set_nonempty(instance: Instance, action, tau: float) -> bool:
     and the offset is nonpositive while the value at the prior is positive,
     so the test reduces to the minimum coefficient reaching the offset.
     """
-    offset = indifference_offset(instance, action, tau)
-    return float(gap_vector(instance, action).coeffs.min()) <= offset + ATOL
-
-
-def _gap_rows(instance: Instance) -> np.ndarray:
-    """Default-minus-action utility gaps, one row per non-default action in
-    action order; each row is positive at the prior."""
-    d = instance.default_index
-    u = instance.utility
-    # Built row by row into C order: ``utility`` is column-major, and dot
-    # products over strided rows round differently from contiguous ones.
-    return np.array([u[d] - u[a] for a in range(instance.n_actions) if a != d])
-
-
-def _tau_max(gaps: np.ndarray, mu0: np.ndarray) -> float:
-    """``testable_range`` from the gap rows: per row, the reach below zero
-    over the value at the prior, mapped from odds to a threshold."""
-    ratios = [max(0.0, -float(gap.min())) / float(gap @ mu0) for gap in gaps]
-    return max(0.0, *(ratio / (1.0 + ratio) for ratio in ratios))
+    if not 0.0 < tau < 1.0:
+        raise OutOfRangeThreshold(f"threshold {tau} outside (0, 1)")
+    gap = gap_vector(instance, action).coeffs
+    return float(gap.min()) <= _offset(gap, instance.prior.probs, tau) + ATOL
 
 
 def testable_range(instance: Instance) -> float:
     """Largest threshold that remains testable on this instance.
 
-    Zero when the default action weakly dominates everywhere: beliefs then
-    never leave the default region and actions carry no information.
+    Per gap row, the reach below zero over the value at the prior, mapped
+    from odds to a threshold.  Zero when the default action weakly
+    dominates everywhere: beliefs then never leave the default region and
+    actions carry no information.
     """
-    return _tau_max(_gap_rows(instance), instance.prior.probs)
+    mu0 = instance.prior.probs
+    ratios = [max(0.0, -float(gap.min())) / float(gap @ mu0) for gap in instance.gaps]
+    return max(0.0, *(ratio / (1.0 + ratio) for ratio in ratios))
 
 
 def classify(instance: Instance, tau: float) -> Classification:
@@ -127,13 +119,11 @@ def classify(instance: Instance, tau: float) -> Classification:
     except Infeasible:
         value = 0.0
 
-    gaps = _gap_rows(instance)
-    mu0 = instance.prior.probs
-    tau_max = _tau_max(gaps, mu0)
+    tau_max = testable_range(instance)
     actions = [a for a in instance.actions if a != instance.default_action]
     margins = {
-        action: -tau / (1.0 - tau) * float(gap @ mu0) - float(gap.min())
-        for action, gap in zip(actions, gaps)
+        action: _offset(gap, instance.prior.probs, tau) - float(gap.min())
+        for action, gap in zip(actions, instance.gaps)
     }
     nonempty = tuple(a for a, m in margins.items() if m >= -ATOL)
 

@@ -159,3 +159,69 @@ class TestSweepCommand:
     def test_deterministic(self, instance_file):
         args = ["sweep", "--instance", instance_file, "--tau-grid", "0.2,0.4,0.6"]
         assert run_cli(args) == run_cli(args)
+
+
+
+def _twostate(prior=(0.2, 0.8), utility=((1.0, -1.0), (0.0, 0.0))) -> dict:
+    return {"states": ["Good", "Bad"], "actions": ["Active", "Passive"], "prior": list(prior), "utility": utility}
+
+
+SIMULATE = ["simulate", "--tau", "0.5", "--w", "0.3", "--trials", "20"]
+ESTIMATE = ["estimate", "--w", "0.3", "--epsilon", "0.05"]
+WARPED = ["--bias-model", "warped", "--gamma"]
+
+
+def _case(name, argv, code, instance=None, env=None):
+    return pytest.param(argv, instance or _twostate(), env or {}, code, id=name)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, instance, env, code",
+        [
+            _case("w-out-of-range", ["simulate", "--tau", "0.5", "--w", "1.5"], 2),
+            _case("epsilon-zero", ESTIMATE[:3] + ["--epsilon", "0"], 2),
+            _case("trials-zero", SIMULATE[:5] + ["--trials", "0"], 2),
+            _case("gamma-zero", SIMULATE + WARPED + ["0"], 2),
+            _case("gamma-nan", SIMULATE + WARPED + ["nan"], 2),
+            _case("gamma-negative", ESTIMATE + WARPED + ["-1"], 2),
+            _case("seed-negative", SIMULATE + ["--seed", "-1"], 2),
+            _case("env-seed-negative", ESTIMATE, 2, env={"BIASLAB_SEED": "-3"}),
+            _case("nothing-testable", ESTIMATE, 3, _twostate(utility=((1.0, 1.0), (0.0, 0.0)))),
+            _case("prior-sums-to-1.2", ["classify", "--tau", "0.5"], 4, _twostate(prior=(0.2, 1.0))),
+            _case("tied-top", ["classify", "--tau", "0.5"], 4, _twostate((0.5, 0.5), ((1.0, 0.0), (0.0, 1.0)))),
+            _case("not-utf8", ["design", "--tau", "0.5"], 4, b"\xff\xfe not utf-8"),
+        ],
+    )
+    def test_error_exit(self, argv, instance, env, code, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "instance.json"
+        if isinstance(instance, bytes):
+            path.write_bytes(instance)
+        else:
+            path.write_text(json.dumps(instance), encoding="utf-8")
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        got, out = run_cli(argv[:1] + ["--instance", str(path)] + argv[1:])
+        captured = capsys.readouterr()
+        assert (got, out, captured.out) == (code, "", "")
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("biaslab: ")
+
+    def test_linear_model_ignores_gamma(self, instance_file):
+        code, out = run_cli(["simulate", "--instance", instance_file] + SIMULATE[1:] + ["--gamma", "0"])
+        assert code == 0 and json.loads(out)["trials"] == 20
+
+
+def test_simulate_designs_once(instance_file, monkeypatch):
+    import biaslab.design
+
+    calls = []
+    build_lp = biaslab.design.build_lp
+
+    def counting(*args):
+        calls.append(args)
+        return build_lp(*args)
+
+    monkeypatch.setattr(biaslab.design, "build_lp", counting)
+    code, _ = run_cli(["simulate", "--instance", instance_file] + SIMULATE[1:])
+    assert code == 0 and len(calls) == 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from biaslab import (
     Belief,
+    Instance,
     SignalingScheme,
     TieBreak,
     bayes_posterior,
@@ -108,6 +109,44 @@ class TestValidateInstance:
         assert loaded.states == twostate_instance.states
         assert loaded.default_action == twostate_instance.default_action
         np.testing.assert_allclose(loaded.utility, twostate_instance.utility)
+
+
+class TestInstanceGaps:
+    def test_rows_are_default_minus_action(self):
+        rng = np.random.default_rng(61)
+        instances = [random_instance(rng) for _ in range(60)]
+        # Four actions, the default second, so rows after it shift up by one.
+        instances.append(
+            make_instance(
+                states=["x", "y", "z"],
+                actions=["a0", "a1", "a2", "a3"],
+                prior=[0.3, 0.3, 0.4],
+                utility=[[1.0, -1.0, 0.0], [0.2, 0.2, 0.2], [-1.0, 0.5, 0.0], [0.4, 0.3, -0.2]],
+            )
+        )
+        assert instances[-1].default_action == "a1"
+        assert any(i.n_actions >= 3 and i.default_index < i.n_actions - 1 for i in instances[:-1])
+        for inst in instances:
+            u, d = inst.utility, inst.default_index
+            others = [a for a in range(inst.n_actions) if a != d]
+            assert inst.gaps.shape == (len(others), inst.n_states)
+            for row, a in zip(inst.gaps, others):
+                assert row.tobytes() == (u[d] - u[a]).tobytes()
+            assert inst.gaps.flags.c_contiguous
+            assert not inst.gaps.flags.writeable
+
+    def test_derived_not_settable(self, twostate_instance):
+        assert "gaps" not in repr(twostate_instance)
+        with pytest.raises(AttributeError):
+            twostate_instance.gaps = np.zeros((1, 2))
+        with pytest.raises(ValueError):
+            twostate_instance.gaps[0, 0] = 0.0
+        with pytest.raises(TypeError):
+            Instance(
+                states=("G", "B"), actions=("A", "P"), prior=twostate_instance.prior,
+                utility=twostate_instance.utility, default_action="P", prior_margin=0.6,
+                gaps=np.zeros((1, 2)),
+            )
 
 
 class TestBayesPosterior:
