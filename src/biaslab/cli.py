@@ -119,9 +119,12 @@ def _rng(seed) -> np.random.Generator:
 
 
 def _load(path) -> Instance:
+    # validate_instance raises only library errors, so a ValueError comes from
+    # reading the file: bad UTF-8, bad JSON, or an integer literal longer than
+    # the interpreter converts.  Nesting too deep for the parser recurses out.
     try:
         return load_instance(path)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
         raise _BadInput(f"cannot read instance file: {exc}")
 
 

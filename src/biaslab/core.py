@@ -4,6 +4,10 @@ Problem instances, Bayes updates, prior-anchored (biased) beliefs, best
 responses, and the consistency checks that relate signaling schemes to
 convex decompositions of the prior.  Everything here is immutable after
 construction and safe to share across threads; all operations are pure.
+
+Input is validated where it enters: ``validate_instance``, ``Belief(...)``
+and ``SignalingScheme(...)``.  Beliefs and schemes the library derives
+from validated ones are valid by construction and skip the checks.
 """
 
 import json
@@ -60,6 +64,15 @@ class Belief:
         np.clip(arr, 0.0, None, out=arr)
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
+
+    @classmethod
+    def _trusted(cls, probs: np.ndarray) -> "Belief":
+        """Wrap a float vector that is a belief by construction: no copy, no
+        checks.  The caller hands over ``probs``, which becomes read-only."""
+        probs.setflags(write=False)
+        belief = object.__new__(cls)
+        object.__setattr__(belief, "probs", probs)
+        return belief
 
     @property
     def dim(self) -> int:
@@ -182,6 +195,16 @@ class SignalingScheme:
         object.__setattr__(self, "signals", signals)
         object.__setattr__(self, "cond", cond)
 
+    @classmethod
+    def _trusted(cls, signals: tuple, cond: np.ndarray) -> "SignalingScheme":
+        """Wrap unique labels and a float matrix that is a scheme by
+        construction: no copy, no checks.  ``cond`` becomes read-only."""
+        cond.setflags(write=False)
+        scheme = object.__new__(cls)
+        object.__setattr__(scheme, "signals", signals)
+        object.__setattr__(scheme, "cond", cond)
+        return scheme
+
     @property
     def n_signals(self) -> int:
         return len(self.signals)
@@ -237,7 +260,7 @@ def validate_instance(raw: Mapping) -> Instance:
         actions = tuple(str(a) for a in raw["actions"])
         prior_raw = np.asarray(raw["prior"], dtype=float)
         utility = np.asarray(raw["utility"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed instance description: {exc}") from None
 
     if len(states) < 2 or len(set(states)) != len(states):
@@ -307,14 +330,18 @@ def bayes_posterior(instance: Instance, scheme: SignalingScheme, signal) -> Beli
     total = joint.sum()
     if total <= ZERO_MASS:
         raise ZeroProbabilitySignal(f"signal {signal!r} has probability {total}")
-    return Belief(joint / total)
+    # Nonnegative entries over their positive total: a belief by construction.
+    return Belief._trusted(joint / total)
 
 
 def biased_belief(prior: Belief, posterior: Belief, w: float) -> Belief:
     """Mix posterior and prior: weight ``w`` on the prior, ``1 - w`` on the update."""
     if not 0.0 <= w <= 1.0:
         raise OutOfRangeBias(f"bias level {w} outside [0, 1]")
-    return Belief(w * prior.probs + (1.0 - w) * posterior.probs)
+    if prior.probs.shape != posterior.probs.shape:
+        raise ShapeMismatch("prior and posterior have different dimensions")
+    # A convex mix of two beliefs of one dimension is a belief.
+    return Belief._trusted(w * prior.probs + (1.0 - w) * posterior.probs)
 
 
 class BestResponse(NamedTuple):

@@ -32,6 +32,9 @@ COEF_SNAP = 1e-12
 
 _MAX_PIVOTS = 100_000
 
+# Largest residual ``verify_design`` accepts on any row or simulated check.
+VERIFY_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
@@ -252,10 +255,14 @@ def design_scheme(instance: Instance, tau: float) -> DesignResult:
         # The all-default scheme always satisfies the rows, so a literal
         # infeasibility cannot occur; treat it as zero useful mass anyway.
         raise Untestable(tau)
-    cond = x.reshape(instance.n_actions, instance.n_states)
-    scheme = SignalingScheme(signals=instance.actions, cond=cond)
+    # solve_lp's solution is clipped nonnegative and holds every distribution
+    # row to ATOL, and the instance's action labels are unique: a scheme by
+    # construction.
+    scheme = SignalingScheme._trusted(instance.actions, x.reshape(instance.n_actions, instance.n_states))
 
-    useful_mass = float(np.delete(scheme.signal_probs(instance.prior), instance.default_index).sum())
+    non_default = np.ones(instance.n_actions, dtype=bool)
+    non_default[instance.default_index] = False
+    useful_mass = float(scheme.signal_probs(instance.prior)[non_default].sum())
     if abs(useful_mass - value) > ATOL:
         raise Numerical("objective and recomputed useful mass disagree")
     useful_mass = min(useful_mass, 1.0)  # probability; trim rounding excess
@@ -284,8 +291,9 @@ def verify_design(instance: Instance, tau: float, result: DesignResult) -> Desig
     distribution equalities.  Then independently confirms indifference:
     mix each useful signal's posterior with the prior at weight ``tau`` and
     compare the expected utilities of the recommended and default actions.
-    Raises VerificationFailed when a residual exceeds 1e-8; the message
-    names each failing row, and the distribution rows by their worst one.
+    Raises VerificationFailed when a residual exceeds ``VERIFY_TOL``; the
+    message names each failing row, and the distribution rows by their
+    worst one.
     """
     scheme = result.scheme
     nA, nS = instance.n_actions, instance.n_states
@@ -303,13 +311,13 @@ def verify_design(instance: Instance, tau: float, result: DesignResult) -> Desig
     violations = [
         f"optimality({signals[a]} over {signals[other]}): {row:.3g}"
         for (a, other), row in zip(itertools.permutations(range(nA), 2), ge_rows)
-        if -row > 1e-8
+        if -row > VERIFY_TOL
     ]
     violations += [
-        f"indifference({signals[a]}): {row:.3g}" for a, row in zip(non_default, eq_rows) if row > 1e-8
+        f"indifference({signals[a]}): {row:.3g}" for a, row in zip(non_default, eq_rows) if row > VERIFY_TOL
     ]
     dist = float(eq_rows[nA - 1 :].max())
-    if dist > 1e-8:
+    if dist > VERIFY_TOL:
         violations.append(f"distribution: {dist:.3g}")
 
     sim = 0.0
@@ -322,7 +330,7 @@ def verify_design(instance: Instance, tau: float, result: DesignResult) -> Desig
         eu = instance.expected_utilities(nu)
         gap = abs(float(eu[a] - eu[d]))
         sim = max(sim, gap)
-        if gap > 1e-8:
+        if gap > VERIFY_TOL:
             violations.append(f"simulated indifference({signals[a]}): {gap:.3g}")
 
     if violations:

@@ -6,7 +6,6 @@ testable thresholds turns those one-bit answers into a confidence interval
 for the hidden bias level.
 """
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -115,10 +114,12 @@ def _threshold_tests(instance, scheme, useful_signals, agent, rng, max_steps, re
     signals = scheme.signals
     is_useful = [s in useful for s in signals]
     draw = episode_sampler(instance, scheme)
+    responses = {}  # signal index -> the agent's action
 
-    @functools.cache
     def respond(s: int) -> str:
-        return agent_act(agent, instance, scheme, signals[s])
+        if s not in responses:
+            responses[s] = agent_act(agent, instance, scheme, signals[s])
+        return responses[s]
 
     while True:
         trace = []

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from biaslab.cli import run_cli
+from biaslab.cli import main, run_cli
 
 
 @pytest.fixture
@@ -191,6 +192,9 @@ class TestExitCodes:
             _case("prior-sums-to-1.2", ["classify", "--tau", "0.5"], 4, _twostate(prior=(0.2, 1.0))),
             _case("tied-top", ["classify", "--tau", "0.5"], 4, _twostate((0.5, 0.5), ((1.0, 0.0), (0.0, 1.0)))),
             _case("not-utf8", ["design", "--tau", "0.5"], 4, b"\xff\xfe not utf-8"),
+            _case("nested-100k-deep", ["design", "--tau", "0.5"], 4, b"[" * 100_000 + b"]" * 100_000),
+            _case("int-over-4300-digits", ["design", "--tau", "0.5"], 4, b"9" * 5000),
+            _case("int-too-large-for-float", ["design", "--tau", "0.5"], 4, _twostate(prior=(int("9" * 400), 0.8))),
         ],
     )
     def test_error_exit(self, argv, instance, env, code, tmp_path, monkeypatch, capsys):
@@ -225,3 +229,20 @@ def test_simulate_designs_once(instance_file, monkeypatch):
     monkeypatch.setattr(biaslab.design, "build_lp", counting)
     code, _ = run_cli(["simulate", "--instance", instance_file] + SIMULATE[1:])
     assert code == 0 and len(calls) == 1
+
+
+class TestMain:
+    """``main`` is the ``biaslab`` console script: run_cli's result as an exit."""
+
+    @pytest.mark.parametrize("tau, code", [("0.5", 0), ("0.8", 3)])
+    def test_matches_run_cli(self, tau, code, instance_file, monkeypatch, capsys):
+        argv = ["design", "--instance", instance_file, "--tau", tau]
+        expected = run_cli(argv)
+        expected_err = capsys.readouterr().err
+        monkeypatch.setattr(sys, "argv", ["biaslab"] + argv)
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        captured = capsys.readouterr()
+        assert (exit_info.value.code, captured.out) == expected
+        assert captured.err == expected_err
+        assert exit_info.value.code == code

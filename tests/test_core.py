@@ -102,6 +102,14 @@ class TestValidateInstance:
         with pytest.raises(ShapeMismatch):
             validate_instance({"states": ["a", "b"]})
 
+    @pytest.mark.parametrize(
+        "key, value", [("prior", [10**400, 0.8]), ("utility", [[10**400, -1.0], [0.0, 0.0]])]
+    )
+    def test_integer_too_large_for_a_float(self, key, value):
+        raw = {"states": ["a", "b"], "actions": ["x", "y"], "prior": [0.2, 0.8], "utility": [[1.0, -1.0], [0.0, 0.0]]}
+        with pytest.raises(ShapeMismatch):
+            validate_instance({**raw, key: value})
+
     def test_json_roundtrip(self, tmp_path, twostate_instance):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(twostate_instance.to_json_dict()), encoding="utf-8")
@@ -188,6 +196,11 @@ class TestBiasedBelief:
         b = Belief(np.array([0.5, 0.5]))
         with pytest.raises(OutOfRangeBias):
             biased_belief(b, b, w)
+
+    def test_dimension_mismatch(self):
+        # A one-state prior would broadcast against the posterior.
+        with pytest.raises(ShapeMismatch):
+            biased_belief(Belief(np.array([1.0])), Belief(np.array([0.5, 0.5])), 0.3)
 
     @settings(max_examples=60, deadline=None)
     @given(
