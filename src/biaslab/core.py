@@ -11,6 +11,7 @@ from validated ones are valid by construction and skip the checks.
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
@@ -247,19 +248,26 @@ def fully_informative_scheme(instance: Instance) -> SignalingScheme:
 def validate_instance(raw: Mapping) -> Instance:
     """Validate a raw instance description and identify the default action.
 
-    ``raw`` maps "states", "actions", "prior" and "utility" to labels, a
-    probability vector (state order) and a payoff matrix (rows = actions,
-    columns = states).  States carrying zero prior mass are collapsed away:
+    ``raw`` maps "states", "actions", "prior" and "utility" to label lists
+    (list or tuple), a probability vector (state order) and a payoff matrix
+    (rows = actions, columns = states) of real numbers, neither strings nor
+    booleans.  States carrying zero prior mass are collapsed away:
     they can never be realized, and keeping them would make Bayes updates
     divide by zero.
 
     Raises NonSimplexPrior, NoUniqueDefault, or ShapeMismatch.
     """
     try:
+        # A string or a mapping would iterate into labels of its own, and
+        # numpy would read "0.2" and True as numbers.
+        if not all(isinstance(raw[key], (list, tuple)) for key in ("states", "actions")):
+            raise TypeError("states and actions must be lists")
         states = tuple(str(s) for s in raw["states"])
         actions = tuple(str(a) for a in raw["actions"])
-        prior_raw = np.asarray(raw["prior"], dtype=float)
-        utility = np.asarray(raw["utility"], dtype=float)
+        prior_raw, utility = (np.asarray(raw[key], dtype=object) for key in ("prior", "utility"))
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (*prior_raw.flat, *utility.flat)):
+            raise TypeError("prior and utility entries must be real numbers")
+        prior_raw, utility = prior_raw.astype(float), utility.astype(float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"malformed instance description: {exc}") from None
 

@@ -25,9 +25,9 @@ from .errors import (
 )
 
 PIVOT_TOL = 1e-10
-# Constraint coefficients below this are rounding noise; snapping them to
-# zero keeps behaviour stable when a threshold sits exactly on the edge of
-# the testable range.
+# Coefficients of a unit-norm constraint row below this are rounding noise;
+# snapping them to zero keeps behaviour stable when a threshold sits exactly
+# on the edge of the testable range.
 COEF_SNAP = 1e-12
 
 _MAX_PIVOTS = 100_000
@@ -101,7 +101,8 @@ def build_lp(instance: Instance, tau: float) -> LinearProgram:
     a * n_states + t.  Rows: one inequality per ordered action pair
     (optimality of the recommendation), one equality per non-default
     action (indifference with the default at bias level tau), and one
-    distribution equality per state.
+    distribution equality per state.  Every row has largest absolute
+    coefficient 1 (or is zero), whatever the scale of the utilities.
     """
     if not 0.0 < tau < 1.0:
         raise OutOfRangeThreshold(f"threshold {tau} outside (0, 1)")
@@ -116,7 +117,11 @@ def build_lp(instance: Instance, tau: float) -> LinearProgram:
     for k, (a, other) in enumerate(itertools.permutations(range(nA), 2)):
         block = slice(a * nS, (a + 1) * nS)
         du = instance.utility[a] - instance.utility[other]
-        ge[k, block] = mu0 * ((1.0 - tau) * du + tau * float(mu0 @ du))
+        row = mu0 * ((1.0 - tau) * du + tau * float(mu0 @ du))
+        # Unit max-norm, so the solver's tolerances mean the same at every
+        # utility scale; a pair with equal utilities keeps its zero row.
+        scale = np.abs(row).max()
+        ge[k, block] = row / scale if scale > 0.0 else row
         if other == d:
             # Indifference with the default is this row held at zero (the
             # indifference rows skip the default action), and every
@@ -246,28 +251,19 @@ def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
 def design_scheme(instance: Instance, tau: float) -> DesignResult:
     """Best direct scheme for testing which side of ``tau`` the bias is on.
 
-    Raises Untestable when no scheme can put positive mass on useful
-    signals (the indifference rows admit only the all-default solution).
+    p* is the LP optimum, the same value ``classify`` reports.  Raises
+    Untestable when no scheme can put positive mass on useful signals (the
+    indifference rows admit only the all-default solution); a solver
+    failure propagates as its own error (Infeasible or Numerical).
     """
-    try:
-        value, x = solve_lp(build_lp(instance, tau))
-    except Infeasible:
-        # The all-default scheme always satisfies the rows, so a literal
-        # infeasibility cannot occur; treat it as zero useful mass anyway.
+    value, x = solve_lp(build_lp(instance, tau))
+    useful_mass = min(value, 1.0)  # probability; trim rounding excess
+    if useful_mass <= ATOL:
         raise Untestable(tau)
     # solve_lp's solution is clipped nonnegative and holds every distribution
     # row to ATOL, and the instance's action labels are unique: a scheme by
     # construction.
     scheme = SignalingScheme._trusted(instance.actions, x.reshape(instance.n_actions, instance.n_states))
-
-    non_default = np.ones(instance.n_actions, dtype=bool)
-    non_default[instance.default_index] = False
-    useful_mass = float(scheme.signal_probs(instance.prior)[non_default].sum())
-    if abs(useful_mass - value) > ATOL:
-        raise Numerical("objective and recomputed useful mass disagree")
-    useful_mass = min(useful_mass, 1.0)  # probability; trim rounding excess
-    if useful_mass <= ATOL:
-        raise Untestable(tau)
     return DesignResult(
         scheme=scheme,
         useful_mass=useful_mass,
@@ -290,7 +286,8 @@ def verify_design(instance: Instance, tau: float, result: DesignResult) -> Desig
     optimality inequalities, the indifference equalities and the
     distribution equalities.  Then independently confirms indifference:
     mix each useful signal's posterior with the prior at weight ``tau`` and
-    compare the expected utilities of the recommended and default actions.
+    compare the expected utilities of the recommended and default actions,
+    per unit of their largest utility gap.
     Raises VerificationFailed when a residual exceeds ``VERIFY_TOL``; the
     message names each failing row, and the distribution rows by their
     worst one.
@@ -328,7 +325,8 @@ def verify_design(instance: Instance, tau: float, result: DesignResult) -> Desig
         posterior = bayes_posterior(instance, scheme, signals[a])
         nu = biased_belief(instance.prior, posterior, tau)
         eu = instance.expected_utilities(nu)
-        gap = abs(float(eu[a] - eu[d]))
+        # Per unit of the pair's utility gap, as the LP rows are scaled.
+        gap = abs(float(eu[a] - eu[d])) / float(np.abs(instance.gaps[a - (a > d)]).max())
         sim = max(sim, gap)
         if gap > VERIFY_TOL:
             violations.append(f"simulated indifference({signals[a]}): {gap:.3g}")

@@ -15,7 +15,6 @@ from .core import ATOL, Instance, _frozen
 from .design import build_lp, solve_lp
 from .errors import (
     DefaultActionGap,
-    Infeasible,
     InconsistentClassification,
     OutOfRangeThreshold,
 )
@@ -107,17 +106,16 @@ def classify(instance: Instance, tau: float) -> Classification:
     """Three-way classification of the threshold question at ``tau``.
 
     Single sample when the design LP reaches useful mass 1, finite when the
-    mass is positive, untestable when it is zero.  The geometric emptiness
+    mass is positive, untestable when it is zero.  p* is the LP optimum
+    capped at 1, bit for bit the value ``design_scheme`` reports; a solver
+    failure propagates as its own error.  The geometric emptiness
     test (the offset of each shifted hyperplane minus its gap's minimum
     coefficient, nonnegative when the translated set is nonempty) must
     agree with the LP outcome; a disagreement beyond the shared tolerance
     can only come from a solver defect and raises
     InconsistentClassification.
     """
-    try:
-        value, _ = solve_lp(build_lp(instance, tau))
-    except Infeasible:
-        value = 0.0
+    value, _ = solve_lp(build_lp(instance, tau))
 
     tau_max = testable_range(instance)
     actions = [a for a in instance.actions if a != instance.default_action]
@@ -140,4 +138,4 @@ def classify(instance: Instance, tau: float) -> Classification:
             f"useful mass {value:.3g} but every translated set is empty"
         )
     verdict = Testability.SINGLE_SAMPLE if value >= 1.0 - ATOL else Testability.FINITE
-    return Classification(verdict, float(value), nonempty, tau_max)
+    return Classification(verdict, min(value, 1.0), nonempty, tau_max)

@@ -170,6 +170,7 @@ def _twostate(prior=(0.2, 0.8), utility=((1.0, -1.0), (0.0, 0.0))) -> dict:
 SIMULATE = ["simulate", "--tau", "0.5", "--w", "0.3", "--trials", "20"]
 ESTIMATE = ["estimate", "--w", "0.3", "--epsilon", "0.05"]
 WARPED = ["--bias-model", "warped", "--gamma"]
+CLASSIFY = ["classify", "--tau", "0.5"]
 
 
 def _case(name, argv, code, instance=None, env=None):
@@ -195,6 +196,19 @@ class TestExitCodes:
             _case("nested-100k-deep", ["design", "--tau", "0.5"], 4, b"[" * 100_000 + b"]" * 100_000),
             _case("int-over-4300-digits", ["design", "--tau", "0.5"], 4, b"9" * 5000),
             _case("int-too-large-for-float", ["design", "--tau", "0.5"], 4, _twostate(prior=(int("9" * 400), 0.8))),
+            _case("env-seed-not-integer", SIMULATE, 2, env={"BIASLAB_SEED": "x1"}),
+            _case("empty-tau-grid", ["sweep", "--tau-grid", ","], 2),
+            _case("states-string", CLASSIFY, 4, {**_twostate(), "states": "GB"}),
+            _case("actions-string", CLASSIFY, 4, {**_twostate(), "actions": "AP"}),
+            _case("states-dict", CLASSIFY, 4, {**_twostate(), "states": {"Good": 0, "Bad": 1}}),
+            _case("prior-strings", CLASSIFY, 4, _twostate(prior=("0.2", "0.8"))),
+            _case("utility-booleans", CLASSIFY, 4, _twostate(utility=((True, False), (False, False)))),
+            _case("one-state-label", CLASSIFY, 4, {**_twostate(), "states": ["Good", "Good"]}),
+            _case("one-action-label", CLASSIFY, 4, {**_twostate(), "actions": ["Active", "Active"]}),
+            _case("prior-length", CLASSIFY, 4, _twostate(prior=(0.2, 0.3, 0.5))),
+            _case("utility-nan", CLASSIFY, 4, _twostate(utility=((float("nan"), -1.0), (0.0, 0.0)))),
+            _case("prior-negative", CLASSIFY, 4, _twostate(prior=(-0.2, 1.2))),
+            _case("one-state-with-mass", CLASSIFY, 4, _twostate(prior=(1.0, 0.0))),
         ],
     )
     def test_error_exit(self, argv, instance, env, code, tmp_path, monkeypatch, capsys):

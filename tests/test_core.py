@@ -110,6 +110,30 @@ class TestValidateInstance:
         with pytest.raises(ShapeMismatch):
             validate_instance({**raw, key: value})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("states", "GB"),
+            ("actions", "AP"),
+            ("states", {"G": 0, "B": 1}),
+            ("prior", ["0.2", "0.8"]),
+            ("prior", "0.2"),
+            ("utility", [[True, False], [False, False]]),
+            ("utility", [[True, -1.0], [0.0, 0.0]]),
+            ("utility", np.array([[True, False], [False, False]])),
+        ],
+    )
+    def test_labels_and_numbers_must_be_typed(self, key, value):
+        raw = {"states": ["G", "B"], "actions": ["A", "P"], "prior": [0.2, 0.8], "utility": [[1.0, -1.0], [0.0, 0.0]]}
+        with pytest.raises(ShapeMismatch):
+            validate_instance({**raw, key: value})
+
+    def test_lists_tuples_and_arrays_accepted(self):
+        inst = validate_instance(
+            {"states": ("G", "B"), "actions": ["A", "P"], "prior": np.array([0.2, 0.8]), "utility": [np.array([1, -1]), (0, 0)]}
+        )
+        assert inst.default_action == "P" and inst.utility.dtype == float
+
     def test_json_roundtrip(self, tmp_path, twostate_instance):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(twostate_instance.to_json_dict()), encoding="utf-8")

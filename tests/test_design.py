@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -9,12 +11,14 @@ from biaslab import (
     biased_belief,
     best_response,
     build_lp,
+    classify,
     design_scheme,
     make_instance,
     solve_lp,
     splitting_check,
     verify_design,
 )
+from biaslab.cli import run_cli
 from biaslab.core import SignalingScheme
 from biaslab.errors import (
     Infeasible,
@@ -295,3 +299,89 @@ class TestVerifyDesign:
             scheme=res.scheme, useful_mass=0.0, sample_complexity=float("inf"), threshold=0.5
         )
         assert infinite.to_json_dict()["sample_complexity"] == "inf"
+
+
+def _rescaled(inst, factor):
+    return make_instance(
+        states=inst.states, actions=inst.actions, prior=inst.prior.probs, utility=factor * np.asarray(inst.utility)
+    )
+
+
+class TestUtilityScale:
+    """A positive factor on every utility changes no best response, so it may
+    change no verdict and no p*."""
+
+    @pytest.mark.parametrize("n_states, n_actions", [(2, 2), (3, 2), (4, 2), (6, 2), (8, 2), (2, 3), (3, 3)])
+    def test_verdict_and_p_star_invariant(self, n_states, n_actions):
+        rng = np.random.default_rng(1000 * n_states + n_actions)
+        for _ in range(10):
+            inst = random_instance(rng, n_states, n_actions)
+            twins = [_rescaled(inst, 10.0**k) for k in (-6, -3, 3, 6, 9)]
+            for tau in (0.05, 0.2, 0.4, 0.6, 0.8):
+                base = classify(inst, tau)
+                for twin in twins:
+                    c = classify(twin, tau)
+                    assert c.verdict is base.verdict
+                    if base.useful_mass is None:
+                        with pytest.raises(Untestable):
+                            design_scheme(twin, tau)
+                        continue
+                    assert c.useful_mass == pytest.approx(base.useful_mass, abs=1e-9)
+                    res = design_scheme(twin, tau)
+                    assert res.useful_mass == c.useful_mass
+                    verify_design(twin, tau, res)
+
+    def test_canonical_times_1e9(self, twostate_instance, tmp_path):
+        inst = _rescaled(twostate_instance, 1e9)
+        assert design_scheme(inst, 0.5).useful_mass == pytest.approx(0.25, abs=1e-12)
+        assert classify(inst, 0.5).useful_mass == pytest.approx(0.25, abs=1e-12)
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(inst.to_json_dict()), encoding="utf-8")
+        code, out = run_cli(["design", "--instance", str(path), "--tau", "0.5"])
+        assert code == 0 and json.loads(out)["p_star"] == pytest.approx(0.25, abs=1e-12)
+
+    def test_duplicate_action_zero_row(self, twostate_instance):
+        # Active and its copy have equal utilities: their pair rows are zero.
+        u = np.asarray(twostate_instance.utility)
+        inst = make_instance(
+            states=twostate_instance.states,
+            actions=["Active", "Passive", "Copy"],
+            prior=twostate_instance.prior.probs,
+            utility=np.vstack([u, u[0]]),
+        )
+        lp = build_lp(inst, 0.5)
+        assert np.count_nonzero(np.abs(lp.ge).max(axis=1) == 0.0) == 2
+        assert np.all(np.abs(lp.ge).max(axis=1) <= 1.0)
+        res = design_scheme(inst, 0.5)
+        assert res.useful_mass == pytest.approx(0.25, abs=1e-9)
+        verify_design(inst, 0.5, res)
+
+
+class TestNearTauMax:
+    """A 2x2 instance at a threshold 3.8e-6 (relative) below its tau_max,
+    where unscaled LP rows left an equality residual above tolerance."""
+
+    RAW = {
+        "states": ["t0", "t1"],
+        "actions": ["a0", "a1"],
+        "prior": [0.8816386343267285, 0.11836136567327152],
+        "utility": [[0.6368561434410536, -0.22778260665450759], [-0.8281640387501373, -0.016384139516405466]],
+    }
+    TAU = 0.14302998085934038
+
+    def test_designs_and_verifies(self):
+        inst = make_instance(**self.RAW)
+        c = classify(inst, self.TAU)
+        res = design_scheme(inst, self.TAU)
+        assert c.verdict.value == "finite"
+        assert res.useful_mass == c.useful_mass
+        assert res.useful_mass == pytest.approx(scipy_optimum(build_lp(inst, self.TAU)), abs=1e-12)
+        assert res.useful_mass == pytest.approx(0.11836143211241289, abs=1e-12)
+        verify_design(inst, self.TAU, res)
+
+    def test_cli_estimate_completes(self, tmp_path):
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(self.RAW), encoding="utf-8")
+        argv = ["estimate", "--instance", str(path), "--w", "0.356477845289235", "--epsilon", "1e-6", "--seed", "47"]
+        code, out = run_cli(argv)
+        assert code == 0 and json.loads(out)["censored"]
