@@ -8,6 +8,7 @@ shortcut for the same comparison, used to cross-validate simulations.
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,11 +18,12 @@ from .core import (
     Instance,
     SignalingScheme,
     TieBreak,
+    _check_level,
     bayes_posterior,
     best_response,
 )
 from .bias_models import BiasFunction, LinearBias
-from .errors import OutOfRangeBias, ZeroProbabilitySignal
+from .errors import ZeroProbabilitySignal
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,8 +35,7 @@ class BiasedAgent:
     tiebreak: TieBreak = TieBreak.PREFER_DEFAULT
 
     def __post_init__(self):
-        if not 0.0 <= self.w <= 1.0:
-            raise OutOfRangeBias(f"bias level {self.w} outside [0, 1]")
+        _check_level(self.w)
 
 
 def agent_act(agent: BiasedAgent, instance: Instance, scheme: SignalingScheme, signal) -> str:
@@ -54,8 +55,7 @@ def preference_sign(
     expected-utility gap under the linear distorted belief, but evaluated
     without forming the posterior (the signal mass multiplies through).
     """
-    if not 0.0 <= w <= 1.0:
-        raise OutOfRangeBias(f"bias level {w} outside [0, 1]")
+    _check_level(w)
     s = scheme.signal_index(signal)
     mu0 = instance.prior.probs
     if float(scheme.cond[s] @ mu0) <= ZERO_MASS:
@@ -68,14 +68,16 @@ def preference_sign(
     return 1 if expr > 0 else -1
 
 
+@lru_cache(maxsize=1)
 def episode_sampler(instance: Instance, scheme: SignalingScheme):
     """Return ``draw(rng) -> (state index, signal index)`` for one scheme.
 
     Each draw consumes exactly two ``rng.random()`` values: the state by
     inverse CDF over the prior, then the signal by inverse CDF over the
     scheme's conditional column for that state, scaled by the column's
-    total.  The cumulative tables are built once here, so a caller running
-    many episodes on one scheme pays for them once.
+    total.  The cumulative tables are built once here, and the sampler of
+    the last (instance, scheme) pair is kept (both hash by identity), so
+    repeated calls on one scheme pay for them once.
     """
     state_cdf = np.cumsum(instance.prior.probs).tolist()
     signal_cdfs = np.cumsum(scheme.cond, axis=0).T.tolist()

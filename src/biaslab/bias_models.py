@@ -13,8 +13,10 @@ from typing import Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
-from .core import ATOL, Belief, Instance, SignalingScheme, biased_belief, scheme_from_posteriors, vertex_belief
-from .errors import NotSingleCrossing, OutOfRangeThreshold, Untestable
+from .core import (
+    ATOL, Belief, Instance, SignalingScheme, _check_threshold, biased_belief, scheme_from_posteriors, vertex_belief
+)
+from .errors import NotSingleCrossing, Untestable
 
 _W_GRID = np.linspace(0.0, 1.0, 101)
 
@@ -201,8 +203,7 @@ def generalized_membership(phi: BiasFunction, instance: Instance, mu: Belief, ac
     between ``action`` and the default, with both weakly optimal?"""
     if action == instance.default_action:
         raise ValueError("membership is defined for non-default actions")
-    if not 0.0 < tau < 1.0:
-        raise OutOfRangeThreshold(f"threshold {tau} outside (0, 1)")
+    _check_threshold(tau)
     row = instance.action_index(action)
     row -= row > instance.default_index  # the gap rows skip the default action
     biased = phi.evaluate(instance.prior, mu, tau).probs
@@ -238,8 +239,7 @@ def construct_finite_scheme(phi: BiasFunction, instance: Instance, tau: float) -
     remaining vertices.  The qualifying vertex with the heaviest boundary
     signal wins.  Raises Untestable when no vertex qualifies.
     """
-    if not 0.0 < tau < 1.0:
-        raise OutOfRangeThreshold(f"threshold {tau} outside (0, 1)")
+    _check_threshold(tau)
     prior = instance.prior
     non_default = [a for a in instance.actions if a != instance.default_action]
 

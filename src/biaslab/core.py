@@ -23,6 +23,7 @@ from .errors import (
     NonSimplexPrior,
     NoUniqueDefault,
     OutOfRangeBias,
+    OutOfRangeThreshold,
     ShapeMismatch,
     ZeroProbabilitySignal,
 )
@@ -42,6 +43,40 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_probabilities(arr: np.ndarray, what: str, error: type, axis=None) -> None:
+    """Check that ``arr`` holds probabilities summing to one along ``axis``.
+
+    Every entry must be finite and at least ``-ATOL``, and every sum within
+    ``ATOL`` of one; tolerated negative noise is clipped to zero in place.
+    Raises ``error`` naming ``what`` otherwise.
+    """
+    if not np.isfinite(arr).all():
+        raise error(f"{what} has a non-finite entry")
+    if (arr < -ATOL).any():
+        raise error(f"{what} has a negative entry {arr.min()}")
+    np.clip(arr, 0.0, None, out=arr)
+    sums = arr.sum(axis=axis)
+    if np.abs(sums - 1.0).max() > ATOL:
+        raise error(f"{what} must sum to 1, got {sums}")
+
+
+def _check_threshold(tau: float) -> None:
+    if not 0.0 < tau < 1.0:
+        raise OutOfRangeThreshold(f"threshold {tau} outside (0, 1)")
+
+
+def _check_level(w: float) -> None:
+    if not 0.0 <= w <= 1.0:
+        raise OutOfRangeBias(f"bias level {w} outside [0, 1]")
+
+
+def _label_index(labels: tuple, label, kind: str) -> int:
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise ShapeMismatch(f"unknown {kind} {label!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Belief:
     """A probability vector over states.
@@ -56,13 +91,7 @@ class Belief:
         arr = np.array(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ShapeMismatch("belief must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("belief entries must be finite")
-        if arr.min() < -ATOL:
-            raise ValueError(f"belief has negative entry {arr.min()}")
-        if abs(arr.sum() - 1.0) > ATOL:
-            raise ValueError(f"belief sums to {arr.sum()}, not 1")
-        np.clip(arr, 0.0, None, out=arr)
+        _check_probabilities(arr, "belief", ValueError)
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -144,16 +173,10 @@ class Instance:
         return self.actions.index(self.default_action)
 
     def state_index(self, label) -> int:
-        try:
-            return self.states.index(label)
-        except ValueError:
-            raise ShapeMismatch(f"unknown state {label!r}") from None
+        return _label_index(self.states, label, "state")
 
     def action_index(self, label) -> int:
-        try:
-            return self.actions.index(label)
-        except ValueError:
-            raise ShapeMismatch(f"unknown action {label!r}") from None
+        return _label_index(self.actions, label, "action")
 
     def expected_utilities(self, belief: Belief) -> np.ndarray:
         """Expected utility of each action under the given belief."""
@@ -186,12 +209,7 @@ class SignalingScheme:
             raise ShapeMismatch("cond must have one row per signal")
         if len(set(signals)) != len(signals):
             raise ShapeMismatch("signal labels must be unique")
-        if cond.min() < -ATOL:
-            raise ValueError(f"conditional probability {cond.min()} is negative")
-        np.clip(cond, 0.0, None, out=cond)
-        colsums = cond.sum(axis=0)
-        if np.max(np.abs(colsums - 1.0)) > ATOL:
-            raise ValueError("per-state signal distributions must sum to 1")
+        _check_probabilities(cond, "per-state signal distribution", ValueError, axis=0)
         cond.setflags(write=False)
         object.__setattr__(self, "signals", signals)
         object.__setattr__(self, "cond", cond)
@@ -215,10 +233,7 @@ class SignalingScheme:
         return self.cond.shape[1]
 
     def signal_index(self, label) -> int:
-        try:
-            return self.signals.index(label)
-        except ValueError:
-            raise ShapeMismatch(f"unknown signal {label!r}") from None
+        return _label_index(self.signals, label, "signal")
 
     def signal_probs(self, prior: Belief) -> np.ndarray:
         """Unconditional probability of each signal under the prior."""
@@ -284,20 +299,17 @@ def validate_instance(raw: Mapping) -> Instance:
     if not np.all(np.isfinite(utility)):
         raise ShapeMismatch("utility entries must be finite")
 
-    if not np.all(np.isfinite(prior_raw)) or prior_raw.min() < -ATOL:
-        raise NonSimplexPrior("prior entries must be nonnegative")
-    if abs(prior_raw.sum() - 1.0) > ATOL:
-        raise NonSimplexPrior(f"prior sums to {prior_raw.sum()}, not 1")
+    _check_probabilities(prior_raw, "prior", NonSimplexPrior)
 
     support = prior_raw > ZERO_MASS
     if support.sum() < 2:
         raise ShapeMismatch("need at least two states with positive prior mass")
     states = tuple(s for s, keep in zip(states, support) if keep)
     prior_vec = prior_raw[support]
-    prior_vec = prior_vec / prior_vec.sum()
     utility = utility[:, support]
 
-    prior = Belief(prior_vec)
+    # Positive entries over their total: a belief by construction.
+    prior = Belief._trusted(prior_vec / prior_vec.sum())
     eu = utility @ prior.probs
     order = np.argsort(-eu, kind="stable")
     margin = float(eu[order[0]] - eu[order[1]])
@@ -344,8 +356,7 @@ def bayes_posterior(instance: Instance, scheme: SignalingScheme, signal) -> Beli
 
 def biased_belief(prior: Belief, posterior: Belief, w: float) -> Belief:
     """Mix posterior and prior: weight ``w`` on the prior, ``1 - w`` on the update."""
-    if not 0.0 <= w <= 1.0:
-        raise OutOfRangeBias(f"bias level {w} outside [0, 1]")
+    _check_level(w)
     if prior.probs.shape != posterior.probs.shape:
         raise ShapeMismatch("prior and posterior have different dimensions")
     # A convex mix of two beliefs of one dimension is a belief.
@@ -412,14 +423,10 @@ def scheme_from_posteriors(
     ``posteriors[s]``; signals with positive weight round-trip through
     :func:`bayes_posterior`.
     """
-    w = np.asarray(weights, dtype=float)
+    w = np.array(weights, dtype=float)
     if w.ndim != 1 or len(posteriors) != w.size:
         raise ShapeMismatch("need one weight per posterior")
-    if w.min() < -ATOL:
-        raise InconsistentSplit(f"weight {w.min()} is negative")
-    np.clip(w, 0.0, None, out=w)
-    if abs(w.sum() - 1.0) > ATOL:
-        raise InconsistentSplit(f"weights sum to {w.sum()}, not 1")
+    _check_probabilities(w, "weight vector", InconsistentSplit)
 
     post = np.vstack([b.probs for b in posteriors])
     if post.shape[1] != instance.n_states:

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ATOL, Instance, SignalingScheme, bayes_posterior, biased_belief
-from .errors import (
-    Infeasible,
-    Numerical,
-    OutOfRangeThreshold,
-    Untestable,
-    VerificationFailed,
-)
+from .core import ATOL, Instance, SignalingScheme, _check_threshold, bayes_posterior, biased_belief
+from .errors import Infeasible, Numerical, Untestable, VerificationFailed
 
 PIVOT_TOL = 1e-10
 # Coefficients of a unit-norm constraint row below this are rounding noise;
@@ -104,8 +98,7 @@ def build_lp(instance: Instance, tau: float) -> LinearProgram:
     distribution equality per state.  Every row has largest absolute
     coefficient 1 (or is zero), whatever the scale of the utilities.
     """
-    if not 0.0 < tau < 1.0:
-        raise OutOfRangeThreshold(f"threshold {tau} outside (0, 1)")
+    _check_threshold(tau)
     nA, nS = instance.n_actions, instance.n_states
     n = nA * nS
     d = instance.default_index
@@ -180,7 +173,8 @@ def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
     Deterministic: Bland's rule picks the lowest eligible index, so
     identical inputs give identical basic solutions.  Returns the optimal
     value and the variable assignment; raises Infeasible when no point
-    satisfies the constraints and Numerical on breakdown.
+    satisfies the constraints and Numerical on breakdown, including a
+    non-finite coefficient that reaches the solution or the optimum.
     """
     n = lp.n_vars
     m_ge = lp.ge.shape[0]
@@ -241,11 +235,15 @@ def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
             x[bi] = T[i, -1]
     solution = np.clip(x[:n], 0.0, None)
 
-    if m_ge and np.min(lp.ge @ solution - lp.ge_rhs) < -ATOL:
+    # Written so that a NaN residual or optimum fails the test.
+    if m_ge and not np.min(lp.ge @ solution - lp.ge_rhs) >= -ATOL:
         raise Numerical("inequality residual above tolerance")
-    if m_eq and np.max(np.abs(lp.eq @ solution - lp.eq_rhs)) > ATOL:
+    if m_eq and not np.max(np.abs(lp.eq @ solution - lp.eq_rhs)) <= ATOL:
         raise Numerical("equality residual above tolerance")
-    return float(lp.objective @ solution), solution
+    value = float(lp.objective @ solution)
+    if not math.isfinite(value):
+        raise Numerical(f"optimum {value} is not finite")
+    return value, solution
 
 
 def design_scheme(instance: Instance, tau: float) -> DesignResult:
@@ -288,9 +286,9 @@ def verify_design(instance: Instance, tau: float, result: DesignResult) -> Desig
     mix each useful signal's posterior with the prior at weight ``tau`` and
     compare the expected utilities of the recommended and default actions,
     per unit of their largest utility gap.
-    Raises VerificationFailed when a residual exceeds ``VERIFY_TOL``; the
-    message names each failing row, and the distribution rows by their
-    worst one.
+    Raises VerificationFailed when a residual exceeds ``VERIFY_TOL`` or is
+    NaN; the message names each failing row, and the distribution rows by
+    their worst one.
     """
     scheme = result.scheme
     nA, nS = instance.n_actions, instance.n_states
@@ -305,22 +303,23 @@ def verify_design(instance: Instance, tau: float, result: DesignResult) -> Desig
     eq_rows = np.abs(lp.eq @ x - lp.eq_rhs)  # indifference rows, then distribution rows
     non_default = [a for a in range(nA) if a != d]
 
+    # Every tolerance test below is written so that NaN fails it.
     violations = [
         f"optimality({signals[a]} over {signals[other]}): {row:.3g}"
         for (a, other), row in zip(itertools.permutations(range(nA), 2), ge_rows)
-        if -row > VERIFY_TOL
+        if not row >= -VERIFY_TOL
     ]
     violations += [
-        f"indifference({signals[a]}): {row:.3g}" for a, row in zip(non_default, eq_rows) if row > VERIFY_TOL
+        f"indifference({signals[a]}): {row:.3g}" for a, row in zip(non_default, eq_rows) if not row <= VERIFY_TOL
     ]
     dist = float(eq_rows[nA - 1 :].max())
-    if dist > VERIFY_TOL:
+    if not dist <= VERIFY_TOL:
         violations.append(f"distribution: {dist:.3g}")
 
     sim = 0.0
     probs = scheme.signal_probs(instance.prior)
     for a in non_default:
-        if probs[a] <= _SIM_MASS_FLOOR:
+        if not probs[a] > _SIM_MASS_FLOOR:
             continue
         posterior = bayes_posterior(instance, scheme, signals[a])
         nu = biased_belief(instance.prior, posterior, tau)
@@ -328,7 +327,7 @@ def verify_design(instance: Instance, tau: float, result: DesignResult) -> Desig
         # Per unit of the pair's utility gap, as the LP rows are scaled.
         gap = abs(float(eu[a] - eu[d])) / float(np.abs(instance.gaps[a - (a > d)]).max())
         sim = max(sim, gap)
-        if gap > VERIFY_TOL:
+        if not gap <= VERIFY_TOL:
             violations.append(f"simulated indifference({signals[a]}): {gap:.3g}")
 
     if violations:

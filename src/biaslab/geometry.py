@@ -11,13 +11,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ATOL, Instance, _frozen
+from .core import ATOL, Instance, _check_threshold, _frozen
 from .design import build_lp, solve_lp
-from .errors import (
-    DefaultActionGap,
-    InconsistentClassification,
-    OutOfRangeThreshold,
-)
+from .errors import DefaultActionGap, InconsistentClassification
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +67,7 @@ def _offset(gap: np.ndarray, mu0: np.ndarray, tau: float) -> float:
 
 def indifference_offset(instance: Instance, action, tau: float) -> float:
     """Right-hand side of the shifted indifference hyperplane; always <= 0."""
-    if not 0.0 < tau < 1.0:
-        raise OutOfRangeThreshold(f"threshold {tau} outside (0, 1)")
+    _check_threshold(tau)
     return _offset(gap_vector(instance, action).coeffs, instance.prior.probs, tau)
 
 
@@ -83,8 +78,7 @@ def translated_set_nonempty(instance: Instance, action, tau: float) -> bool:
     and the offset is nonpositive while the value at the prior is positive,
     so the test reduces to the minimum coefficient reaching the offset.
     """
-    if not 0.0 < tau < 1.0:
-        raise OutOfRangeThreshold(f"threshold {tau} outside (0, 1)")
+    _check_threshold(tau)
     gap = gap_vector(instance, action).coeffs
     return float(gap.min()) <= _offset(gap, instance.prior.probs, tau) + ATOL
 

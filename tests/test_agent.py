@@ -14,6 +14,7 @@ from biaslab import (
     sample_episode,
     uninformative_scheme,
 )
+from biaslab.agent import episode_sampler
 from biaslab.errors import OutOfRangeBias, ZeroProbabilitySignal
 from conftest import random_instance, random_scheme
 
@@ -128,6 +129,12 @@ class TestSampleEpisode:
             for _ in range(20_000)
         )
         assert goods / 20_000 == pytest.approx(0.2, abs=0.01)
+
+    def test_sampler_kept_for_last_scheme(self, twostate_instance, designed):
+        other = uninformative_scheme(twostate_instance)
+        first = episode_sampler(twostate_instance, designed)
+        assert episode_sampler(twostate_instance, designed) is first
+        assert episode_sampler(twostate_instance, other) is not first
 
 
 class TestSingleCrossing:

@@ -22,6 +22,7 @@ from biaslab import (
     indifference_offset,
     splitting_check,
     threshold_test_on_scheme,
+    vertex_belief,
 )
 from biaslab.errors import NotSingleCrossing, Untestable
 from conftest import random_belief, random_instance
@@ -38,6 +39,56 @@ class LoopingBias:
         h = w + 0.45 * math.sin(2.0 * math.pi * w)
         h = min(max(h, 0.0), 1.0)
         return biased_belief(prior, posterior, h)
+
+
+# Purpose-built broken models for the canonical two-state instance, on which
+# the first state's vertex lies outside the default action's region.
+
+
+@dataclass(frozen=True)
+class DriftBias:
+    """Exact at levels 0 and 1, but intermediate levels drag every belief,
+    the prior's image included, toward the first state's vertex."""
+
+    name: str = field(default="drift", init=False)
+
+    def evaluate(self, prior, posterior, w):
+        pull = 3.6 * w * (1.0 - w)
+        vertex = vertex_belief(prior.dim, 0).probs
+        return Belief((1.0 - pull) * biased_belief(prior, posterior, w).probs + pull * vertex)
+
+
+@dataclass(frozen=True)
+class ShiftedBias:
+    """Linear with the level shifted up by 0.1, so level 0 misses the posterior."""
+
+    name: str = field(default="shifted", init=False)
+
+    def evaluate(self, prior, posterior, w):
+        return biased_belief(prior, posterior, min(w + 0.1, 1.0))
+
+
+@dataclass(frozen=True)
+class UnanchoredBias:
+    """Ignores the prior at every level: the Bayesian posterior itself."""
+
+    name: str = field(default="unanchored", init=False)
+
+    def evaluate(self, prior, posterior, w):
+        return posterior
+
+
+@dataclass(frozen=True)
+class SnapBias:
+    """Linear inside the default region; any image outside it snaps to the
+    first state's vertex, so the image jumps over the boundary."""
+
+    name: str = field(default="snap", init=False)
+
+    def evaluate(self, prior, posterior, w):
+        mixed = biased_belief(prior, posterior, w)
+        # Two-state canonical instance: the default wins below belief 0.5.
+        return mixed if mixed[0] < 0.5 else vertex_belief(prior.dim, 0)
 
 
 class TestBiasFunctions:
@@ -89,6 +140,18 @@ class TestCheckAssumptions:
         witness = next(c for c in rep.counterexamples if c[0] == "single_crossing")
         assert isinstance(witness[1], Belief) and 0.0 <= witness[2] <= 1.0
 
+    def test_drift_model_flagged(self, twostate_instance):
+        rep = check_assumptions(DriftBias(), twostate_instance, 30, np.random.default_rng(2))
+        assert rep.endpoints_ok
+        assert not rep.prior_anchored_ok and not rep.interior_stable_ok
+        kinds = [c[0] for c in rep.counterexamples]
+        assert "prior_anchored" in kinds and "interior_stable" in kinds
+
+    def test_shifted_model_fails_endpoints(self, twostate_instance):
+        rep = check_assumptions(ShiftedBias(), twostate_instance, 10, np.random.default_rng(2))
+        assert rep.prior_anchored_ok and not rep.endpoints_ok
+        assert [c[0] for c in rep.counterexamples] == ["endpoints"]
+
 
 class TestCrossingLevel:
     def test_linear_two_state(self, twostate_instance):
@@ -124,6 +187,13 @@ class TestCrossingLevel:
     def test_looping_model_raises(self, twostate_instance):
         with pytest.raises(NotSingleCrossing):
             crossing_level(LoopingBias(), twostate_instance, Belief(np.array([0.8, 0.2])))
+
+    def test_boundary_posterior_crosses_at_zero(self, twostate_instance):
+        assert crossing_level(LinearBias(), twostate_instance, Belief(np.array([0.5, 0.5]))) == 0.0
+
+    def test_unanchored_model_raises(self, twostate_instance):
+        with pytest.raises(NotSingleCrossing, match="full-bias"):
+            crossing_level(UnanchoredBias(), twostate_instance, Belief(np.array([0.8, 0.2])))
 
 
 class TestGeneralizedMembership:
@@ -209,6 +279,14 @@ class TestConstructFiniteScheme:
     def test_warped_untestable_threshold(self, twostate_instance):
         with pytest.raises(Untestable):
             construct_finite_scheme(WarpedLinear(gamma=2.0), twostate_instance, 0.9)
+
+    def test_distorted_prior_outside_default_raises(self, twostate_instance):
+        with pytest.raises(NotSingleCrossing, match="distorted prior"):
+            construct_finite_scheme(DriftBias(), twostate_instance, 0.5)
+
+    def test_jumping_image_raises(self, twostate_instance):
+        with pytest.raises(NotSingleCrossing, match="did not land on the boundary"):
+            construct_finite_scheme(SnapBias(), twostate_instance, 0.5)
 
     def test_schemes_split_cleanly(self):
         rng = np.random.default_rng(12)

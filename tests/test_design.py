@@ -22,6 +22,7 @@ from biaslab.cli import run_cli
 from biaslab.core import SignalingScheme
 from biaslab.errors import (
     Infeasible,
+    Numerical,
     OutOfRangeThreshold,
     Untestable,
     VerificationFailed,
@@ -85,6 +86,15 @@ class TestSolveLp:
             eq_rhs=np.array([1.0]),
         )
         with pytest.raises(Infeasible):
+            solve_lp(lp)
+
+    @pytest.mark.parametrize("ge", [np.array([[1.0]]), np.zeros((0, 1))], ids=["with-rows", "no-rows"])
+    def test_unbounded_objective(self, ge):
+        # maximize x subject to x >= 0 (or nothing at all)
+        lp = LinearProgram(
+            objective=np.array([1.0]), ge=ge, ge_rhs=np.zeros(ge.shape[0]), eq=np.zeros((0, 1)), eq_rhs=np.zeros(0)
+        )
+        with pytest.raises(Numerical, match="unbounded"):
             solve_lp(lp)
 
     def test_design_lp_value(self, twostate_instance):
@@ -272,6 +282,15 @@ class TestVerifyDesign:
         with pytest.raises(VerificationFailed, match=r"optimality\(Active over Bolder\)") as exc:
             verify_design(inst, 0.5, bad)
         assert "indifference" not in str(exc.value)
+
+    def test_unnormalized_scheme_fails_distribution(self, twostate_instance):
+        # Scaling every conditional keeps the homogeneous optimality and
+        # indifference rows at zero; only the distribution rows break.
+        res = design_scheme(twostate_instance, 0.5)
+        scaled = SignalingScheme._trusted(res.scheme.signals, 1.5 * res.scheme.cond)
+        bad = DesignResult(scaled, res.useful_mass, res.sample_complexity, res.threshold)
+        with pytest.raises(VerificationFailed, match=r"^distribution: 0\.5$"):
+            verify_design(twostate_instance, 0.5, bad)
 
     def test_all_default_scheme_is_feasible_but_useless(self, twostate_instance):
         # Recommending the default everywhere satisfies every constraint

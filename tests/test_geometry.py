@@ -9,7 +9,7 @@ from biaslab import (
     indifference_offset,
     make_instance,
 )
-from biaslab.errors import DefaultActionGap, OutOfRangeThreshold, Untestable
+from biaslab.errors import DefaultActionGap, InconsistentClassification, OutOfRangeThreshold, Untestable
 from conftest import random_instance
 
 
@@ -102,6 +102,17 @@ class TestClassify:
         assert c.verdict is bl.Testability.UNTESTABLE
         assert c.useful_mass is None
         assert c.nonempty_actions == ()
+
+    @pytest.mark.parametrize(
+        "tau, value, match",
+        [(0.5, 0.0, "no useful mass but nonempty"), (0.8, 0.5, "every translated set is empty")],
+        ids=["zero-mass-nonempty", "mass-all-empty"],
+    )
+    def test_solver_disagreement_raises(self, twostate_instance, monkeypatch, tau, value, match):
+        # A stand-in solver contradicts the geometry: tau_max is 0.625 here.
+        monkeypatch.setattr("biaslab.geometry.solve_lp", lambda lp: (value, np.zeros(lp.n_vars)))
+        with pytest.raises(InconsistentClassification, match=match):
+            classify(twostate_instance, tau)
 
     def test_agrees_with_design_over_grid(self):
         rng = np.random.default_rng(83)
