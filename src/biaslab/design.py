@@ -183,7 +183,7 @@ def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
     if m == 0:
         if np.any(lp.objective > PIVOT_TOL):
             raise Numerical("objective is unbounded")
-        return 0.0, np.zeros(n)
+        return _finite_optimum(lp, np.zeros(n))
 
     ncols = n + m_ge  # structural + surplus
     A = np.zeros((m, ncols))
@@ -240,6 +240,10 @@ def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
         raise Numerical("inequality residual above tolerance")
     if m_eq and not np.max(np.abs(lp.eq @ solution - lp.eq_rhs)) <= ATOL:
         raise Numerical("equality residual above tolerance")
+    return _finite_optimum(lp, solution)
+
+
+def _finite_optimum(lp: LinearProgram, solution: np.ndarray) -> tuple[float, np.ndarray]:
     value = float(lp.objective @ solution)
     if not math.isfinite(value):
         raise Numerical(f"optimum {value} is not finite")
@@ -264,6 +268,62 @@ def design_scheme(instance: Instance, tau: float) -> DesignResult:
     scheme = SignalingScheme._trusted(instance.actions, x.reshape(instance.n_actions, instance.n_states))
     return DesignResult(
         scheme=scheme,
+        useful_mass=useful_mass,
+        sample_complexity=1.0 / useful_mass,
+        threshold=tau,
+    )
+
+
+def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
+    """``design_scheme`` for a two-action instance, solved in closed form.
+
+    With one non-default action a, ``build_lp``'s LP is a continuous
+    knapsack with one equality (Dantzig 1957): maximize mu0 @ pi subject to
+    row @ pi = 0 and 0 <= pi <= 1, where pi = pi(a|.) and row is the
+    unit-norm, snapped (a over d) row.  Every state with row >= 0 is sent
+    to a; the positive budget is then spent on the negative states in
+    ascending order of cost per unit of prior mass, |row_t| / mu0_t, so at
+    most one state ends fractional.  The (d over a) row holds by itself,
+    since row sums to the scaled mu0 @ (u_a - u_d) < 0.  Raises what
+    ``design_scheme`` raises: Untestable when p* <= ATOL and Numerical when
+    a residual check of ``solve_lp`` fails.
+    """
+    _check_threshold(tau)
+    mu0 = instance.prior.probs
+    du = -instance.gaps[0]  # u_a - u_d
+    row = mu0 * ((1.0 - tau) * du + tau * float(mu0 @ du))
+    scale = np.abs(row).max()
+    if scale > 0.0:
+        row = row / scale
+    row[np.abs(row) < COEF_SNAP] = 0.0
+
+    pi = (row >= 0.0).astype(float)
+    budget = float(row @ pi)
+    negative = np.flatnonzero(row < 0.0)
+    for t in negative[np.argsort(-row[negative] / mu0[negative], kind="stable")]:
+        cost = -row[t]
+        if cost >= budget:
+            pi[t] = budget / cost
+            break
+        pi[t] = 1.0
+        budget -= cost
+
+    # solve_lp's residual tests on the indifference row and the (d over a)
+    # row, written so that NaN fails them.
+    if not abs(float(row @ pi)) <= ATOL:
+        raise Numerical("equality residual above tolerance")
+    if not -float(row @ (1.0 - pi)) >= -ATOL:
+        raise Numerical("inequality residual above tolerance")
+    useful_mass = min(float(mu0 @ pi), 1.0)
+    if useful_mass <= ATOL:
+        raise Untestable(tau)
+    cond = np.empty((2, instance.n_states))
+    a = 1 - instance.default_index
+    cond[a] = pi
+    cond[1 - a] = 1.0 - pi
+    # Both rows lie in [0, 1] and sum to one per state: a scheme by construction.
+    return DesignResult(
+        scheme=SignalingScheme._trusted(instance.actions, cond),
         useful_mass=useful_mass,
         sample_complexity=1.0 / useful_mass,
         threshold=tau,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .agent import BiasedAgent, agent_act, episode_sampler
 from .core import ZERO_MASS, Instance, SignalingScheme
-from .design import design_scheme
+from .design import _knapsack_design, design_scheme
 from .errors import DegenerateParameters, NothingTestable, Timeout
 from .geometry import testable_range
 
@@ -90,18 +90,21 @@ def steps_for_confidence(p_star: float, delta: float) -> ConfidenceHorizon:
     """
     if not 0.0 < p_star <= 1.0 or not 0.0 < delta < 1.0:
         raise DegenerateParameters(f"p_star={p_star}, delta={delta}")
-    if p_star == 1.0:
-        exact = 1
-    else:
-        q = 1.0 - p_star
-        t = max(1, math.ceil(math.log(delta) / math.log(q)))
-        while t > 1 and q ** (t - 1) <= delta:
-            t -= 1
-        while q**t > delta:
-            t += 1
-        exact = t
-    bound = math.ceil(math.log(1.0 / delta) / p_star)
-    return ConfidenceHorizon(exact=exact, bound=bound)
+    log_delta = math.log(delta)
+    # The miss probability (1 - p)**t is compared in logs: 1 - p would round
+    # a tiny p away.  log1p(-p) <= -p, so exact <= bound.
+    exact = 1 if p_star == 1.0 else _first_horizon(math.log1p(-p_star), log_delta)
+    return ConfidenceHorizon(exact=exact, bound=_first_horizon(-p_star, log_delta))
+
+
+def _first_horizon(log_miss: float, log_delta: float) -> int:
+    """Smallest t >= 1 with t * log_miss <= log_delta, for log_miss < 0."""
+    t = max(1, math.ceil(log_delta / log_miss))
+    while t > 1 and (t - 1) * log_miss <= log_delta:
+        t -= 1
+    while t * log_miss > log_delta:
+        t += 1
+    return t
 
 
 def _threshold_tests(instance, scheme, useful_signals, agent, rng, max_steps, record_trace=False):
@@ -156,8 +159,9 @@ def threshold_test_on_scheme(
 
 def _test_plan(instance: Instance, tau: float, max_steps: int | None) -> tuple:
     """Design the scheme for ``tau``; return the design, its useful signals
-    (the non-default recommendations that are ever sent) and the step budget."""
-    design = design_scheme(instance, tau)
+    (the non-default recommendations that are ever sent) and the step budget.
+    A two-action design is solved in closed form, any other by the LP."""
+    design = (_knapsack_design if instance.n_actions == 2 else design_scheme)(instance, tau)
     probs = design.scheme.signal_probs(instance.prior)
     useful = [
         s

@@ -230,19 +230,31 @@ class TestExitCodes:
         assert code == 0 and json.loads(out)["trials"] == 20
 
 
-def test_simulate_designs_once(instance_file, monkeypatch):
-    import biaslab.design
+def test_simulate_designs_once(tmp_path, monkeypatch):
+    # A two-action instance is designed in closed form, a three-action one
+    # by the LP; either way ``simulate`` designs its scheme exactly once.
+    import biaslab.detector
 
     calls = []
-    build_lp = biaslab.design.build_lp
+    for name in ("_knapsack_design", "design_scheme"):
 
-    def counting(*args):
-        calls.append(args)
-        return build_lp(*args)
+        def counting(*args, design=getattr(biaslab.detector, name), name=name):
+            calls.append(name)
+            return design(*args)
 
-    monkeypatch.setattr(biaslab.design, "build_lp", counting)
-    code, _ = run_cli(["simulate", "--instance", instance_file] + SIMULATE[1:])
-    assert code == 0 and len(calls) == 1
+        monkeypatch.setattr(biaslab.detector, name, counting)
+    three_action = {
+        "states": ["G", "B"],
+        "actions": ["a0", "a1", "a2"],
+        "prior": [0.5, 0.5],
+        "utility": [[0.1, 0.1], [1.0, -1.0], [-1.0, 1.0]],
+    }
+    for instance, route in ((_twostate(), "_knapsack_design"), (three_action, "design_scheme")):
+        calls.clear()
+        path = tmp_path / f"{route}.json"
+        path.write_text(json.dumps(instance), encoding="utf-8")
+        code, _ = run_cli(["simulate", "--instance", str(path)] + SIMULATE[1:])
+        assert code == 0 and calls == [route]
 
 
 class TestMain:

@@ -20,8 +20,10 @@ from biaslab import (
 )
 from biaslab.cli import run_cli
 from biaslab.core import SignalingScheme
+from biaslab.design import _knapsack_design
 from biaslab.errors import (
     Infeasible,
+    NoUniqueDefault,
     Numerical,
     OutOfRangeThreshold,
     Untestable,
@@ -95,6 +97,13 @@ class TestSolveLp:
             objective=np.array([1.0]), ge=ge, ge_rhs=np.zeros(ge.shape[0]), eq=np.zeros((0, 1)), eq_rhs=np.zeros(0)
         )
         with pytest.raises(Numerical, match="unbounded"):
+            solve_lp(lp)
+
+    def test_no_rows_nan_objective(self):
+        lp = LinearProgram(
+            objective=np.array([np.nan]), ge=np.zeros((0, 1)), ge_rhs=[], eq=np.zeros((0, 1)), eq_rhs=[]
+        )
+        with pytest.raises(Numerical, match="not finite"):
             solve_lp(lp)
 
     def test_design_lp_value(self, twostate_instance):
@@ -404,3 +413,52 @@ class TestNearTauMax:
         argv = ["estimate", "--instance", str(path), "--w", "0.356477845289235", "--epsilon", "1e-6", "--seed", "47"]
         code, out = run_cli(argv)
         assert code == 0 and json.loads(out)["censored"]
+
+
+class TestKnapsackDesign:
+    """The closed-form two-action design against the LP it replaces."""
+
+    def test_canonical_two_state(self, twostate_instance):
+        res = _knapsack_design(twostate_instance, 0.5)
+        assert res.useful_mass == pytest.approx(0.25, abs=1e-12)
+        assert res.sample_complexity == pytest.approx(4.0, abs=1e-11)
+        post = bayes_posterior(twostate_instance, res.scheme, "Active")
+        np.testing.assert_allclose(post.probs, [0.8, 0.2], atol=1e-12)
+        with pytest.raises(Untestable):
+            _knapsack_design(twostate_instance, 0.8)
+        with pytest.raises(OutOfRangeThreshold):
+            _knapsack_design(twostate_instance, 1.0)
+
+    def test_near_tau_max(self):
+        inst = make_instance(**TestNearTauMax.RAW)
+        res = _knapsack_design(inst, TestNearTauMax.TAU)
+        assert res.useful_mass == pytest.approx(design_scheme(inst, TestNearTauMax.TAU).useful_mass, abs=1e-12)
+        verify_design(inst, TestNearTauMax.TAU, res)
+
+    def test_agrees_with_lp(self):
+        # 1,000 random two-action instances, 2 to 12 states, utilities scaled
+        # by 10**k for k in [-6, 9]; the default is either action.
+        rng = np.random.default_rng(2026)
+        taus = (0.1, 0.3, 0.5, 0.7, 0.9)
+        instances = designs = 0
+        while instances < 1000:
+            n_states = int(rng.integers(2, 13))
+            prior = rng.dirichlet(np.ones(n_states))
+            utility = rng.normal(size=(2, n_states)) * 10.0 ** int(rng.integers(-6, 10))
+            try:
+                inst = make_instance([f"t{i}" for i in range(n_states)], ["a0", "a1"], prior, utility)
+            except NoUniqueDefault:
+                continue
+            instances += 1
+            for tau in taus:
+                try:
+                    expected = design_scheme(inst, tau).useful_mass
+                except Untestable:
+                    with pytest.raises(Untestable):
+                        _knapsack_design(inst, tau)
+                    continue
+                res = _knapsack_design(inst, tau)
+                assert res.useful_mass == pytest.approx(expected, abs=1e-9)
+                verify_design(inst, tau, res)
+                designs += 1
+        assert designs > 1000

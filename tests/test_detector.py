@@ -203,13 +203,26 @@ class TestStepsForConfidence:
         assert steps_for_confidence(0.5, 0.5) == (1, 2)
 
     def test_grid_properties(self):
-        for p in np.linspace(0.05, 0.95, 10):
+        # Tiny p would vanish from 1 - p, so the miss probability is held to
+        # delta in logs: (1 - p)**t <= delta  <=>  t * log1p(-p) <= log(delta).
+        small = np.geomspace(1e-17, 1e-3, 15)
+        for p in np.concatenate([np.linspace(0.05, 0.95, 10), small]):
             for delta in np.geomspace(1e-4, 0.5, 10):
                 exact, bound = steps_for_confidence(float(p), float(delta))
                 assert exact <= bound
-                assert (1 - p) ** exact <= delta
+                assert exact * math.log1p(-p) <= math.log(delta)
                 if exact > 1:
-                    assert (1 - p) ** (exact - 1) > delta
+                    assert (exact - 1) * math.log1p(-p) > math.log(delta)
+                if p >= 0.05:
+                    assert (1 - p) ** exact <= delta
+                    if exact > 1:
+                        assert (1 - p) ** (exact - 1) > delta
+
+    @pytest.mark.parametrize("p", [1e-17, 1e-16, 1e-9])
+    def test_tiny_p_at_default_delta(self, p):
+        exact, bound = steps_for_confidence(p, DEFAULT_TIMEOUT_DELTA)
+        assert exact <= bound
+        assert exact * math.log1p(-p) <= math.log(DEFAULT_TIMEOUT_DELTA)
 
     @pytest.mark.parametrize("p,d", [(0.0, 0.05), (1.2, 0.05), (0.5, 0.0), (0.5, 1.0)])
     def test_degenerate(self, p, d):

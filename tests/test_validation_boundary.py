@@ -1,8 +1,8 @@
 """Input is validated where it enters; what the library derives is not.
 
 ``bayes_posterior``, ``biased_belief`` (and so both bias models'
-``evaluate``) and ``design_scheme`` build their outputs without the public
-checks.  These tests hold them to those checks: each output must pass the
+``evaluate``), ``design_scheme`` and its two-action closed form
+``_knapsack_design`` build their outputs without the public checks.  These tests hold them to those checks: each output must pass the
 public constructor unchanged, byte for byte, and a full estimate must make
 no validating construction at all.
 """
@@ -28,6 +28,7 @@ from biaslab import (
     make_instance,
 )
 from biaslab.core import ZERO_MASS
+from biaslab.design import _knapsack_design
 from conftest import random_instance, random_scheme
 
 SHAPES = dict(
@@ -74,17 +75,20 @@ def test_belief_producers_pass_public_validation(n_states, n_actions, seed, w, g
 @given(fraction=st.floats(0.01, 0.99), **SHAPES)
 @example(n_states=3, n_actions=3, seed=0, fraction=0.5)
 @example(n_states=5, n_actions=3, seed=0, fraction=0.9)
+@example(n_states=6, n_actions=2, seed=0, fraction=0.5)
 def test_designed_schemes_pass_public_validation(n_states, n_actions, seed, fraction):
     inst = random_instance(np.random.default_rng(seed), n_states, n_actions)
     tau = fraction * bl.testable_range(inst)
     if tau <= 0.0:
         return  # nothing is testable on this instance
-    scheme = design_scheme(inst, tau).scheme
-    again = SignalingScheme(scheme.signals, scheme.cond)
-    assert scheme.signals == again.signals == inst.actions
-    assert scheme.cond.dtype == again.cond.dtype
-    assert scheme.cond.tobytes() == again.cond.tobytes()
-    assert not scheme.cond.flags.writeable
+    designers = (design_scheme, _knapsack_design) if n_actions == 2 else (design_scheme,)
+    for designer in designers:
+        scheme = designer(inst, tau).scheme
+        again = SignalingScheme(scheme.signals, scheme.cond)
+        assert scheme.signals == again.signals == inst.actions
+        assert scheme.cond.dtype == again.cond.dtype
+        assert scheme.cond.tobytes() == again.cond.tobytes()
+        assert not scheme.cond.flags.writeable
 
 
 @pytest.fixture
