@@ -77,6 +77,23 @@ def _min_gap(instance: Instance, belief: Belief) -> float:
     return float((instance.gaps @ belief.probs).min())
 
 
+def _level_path(phi: BiasFunction, instance: Instance, posterior: Belief) -> list:
+    """``_min_gap`` of the distorted posterior at each level of ``_W_GRID``."""
+    return [_min_gap(instance, phi.evaluate(instance.prior, posterior, float(w))) for w in _W_GRID]
+
+
+def _reexit(path: list) -> int | None:
+    """Index at which a level path that has entered the default region
+    leaves it again, beyond ``ATOL`` both ways; None if it never does."""
+    entered = False
+    for k, g in enumerate(path):
+        if g > ATOL:
+            entered = True
+        elif g < -ATOL and entered:
+            return k
+    return None
+
+
 @dataclass(frozen=True)
 class AssumptionReport:
     """Pass/fail per model assumption, with the first counterexample found."""
@@ -109,13 +126,11 @@ def check_assumptions(phi: BiasFunction, instance: Instance, probes: int, rng) -
     reported, not raised.
     """
     prior = instance.prior
-    endpoints_ok = prior_anchored_ok = single_crossing_ok = interior_stable_ok = True
-    counterexamples = []
+    found = {}  # kind -> (belief, level) of its first counterexample, in order
 
-    for w in _W_GRID:
-        if _min_gap(instance, phi.evaluate(prior, prior, float(w))) <= 0.0 and prior_anchored_ok:
-            prior_anchored_ok = False
-            counterexamples.append(("prior_anchored", prior, float(w)))
+    bad = [w for w, g in zip(_W_GRID, _level_path(phi, instance, prior)) if g <= 0.0]
+    if bad:
+        found["prior_anchored"] = (prior, float(bad[0]))
 
     for _ in range(probes):
         posterior = Belief(rng.dirichlet(np.ones(instance.n_states)))
@@ -123,37 +138,25 @@ def check_assumptions(phi: BiasFunction, instance: Instance, probes: int, rng) -
             np.max(np.abs(phi.evaluate(prior, posterior, 0.0).probs - posterior.probs)) > ATOL
             or np.max(np.abs(phi.evaluate(prior, posterior, 1.0).probs - prior.probs)) > ATOL
         ):
-            if endpoints_ok:
-                endpoints_ok = False
-                counterexamples.append(("endpoints", posterior, None))
+            found.setdefault("endpoints", (posterior, None))
             continue
 
-        path = [_min_gap(instance, phi.evaluate(prior, posterior, float(w))) for w in _W_GRID]
-        start = _min_gap(instance, posterior)
-        if start > ATOL:
+        path = _level_path(phi, instance, posterior)
+        if _min_gap(instance, posterior) > ATOL:
             # Interior posterior: must stay in the default region throughout.
-            if min(path) <= -ATOL and interior_stable_ok:
-                interior_stable_ok = False
+            if min(path) <= -ATOL:
                 w_bad = float(_W_GRID[int(np.argmin(path))])
-                counterexamples.append(("interior_stable", posterior, w_bad))
-        else:
+                found.setdefault("interior_stable", (posterior, w_bad))
+        elif (k := _reexit(path)) is not None:
             # Exterior or boundary posterior: once inside, never back out.
-            entered = False
-            for w, g in zip(_W_GRID, path):
-                if g > ATOL:
-                    entered = True
-                elif g < -ATOL and entered:
-                    if single_crossing_ok:
-                        single_crossing_ok = False
-                        counterexamples.append(("single_crossing", posterior, float(w)))
-                    break
+            found.setdefault("single_crossing", (posterior, float(_W_GRID[k])))
 
     return AssumptionReport(
-        endpoints_ok=endpoints_ok,
-        prior_anchored_ok=prior_anchored_ok,
-        single_crossing_ok=single_crossing_ok,
-        interior_stable_ok=interior_stable_ok,
-        counterexamples=tuple(counterexamples),
+        endpoints_ok="endpoints" not in found,
+        prior_anchored_ok="prior_anchored" not in found,
+        single_crossing_ok="single_crossing" not in found,
+        interior_stable_ok="interior_stable" not in found,
+        counterexamples=tuple((kind, *witness) for kind, witness in found.items()),
     )
 
 
@@ -172,13 +175,9 @@ def crossing_level(phi: BiasFunction, instance: Instance, posterior: Belief) -> 
     if abs(g0) <= ATOL:
         return 0.0
 
-    path = [_min_gap(instance, phi.evaluate(prior, posterior, float(w))) for w in _W_GRID]
-    entered = False
-    for g in path:
-        if g > ATOL:
-            entered = True
-        elif g < -ATOL and entered:
-            raise NotSingleCrossing("level path re-exits the default region")
+    path = _level_path(phi, instance, posterior)
+    if _reexit(path) is not None:
+        raise NotSingleCrossing("level path re-exits the default region")
     if path[-1] < -ATOL:
         raise NotSingleCrossing("full-bias belief does not favor the default action")
 

@@ -298,6 +298,11 @@ def validate_instance(raw: Mapping) -> Instance:
         )
     if not np.all(np.isfinite(utility)):
         raise ShapeMismatch("utility entries must be finite")
+    # Every gap and design row subtracts two actions' utilities in a state.
+    with np.errstate(over="ignore"):
+        spread = utility.max(axis=0) - utility.min(axis=0)
+    if not np.all(np.isfinite(spread)):
+        raise ShapeMismatch("utility differences between actions must be finite")
 
     _check_probabilities(prior_raw, "prior", NonSimplexPrior)
 

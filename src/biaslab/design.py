@@ -109,12 +109,7 @@ def build_lp(instance: Instance, tau: float) -> LinearProgram:
     eq = np.zeros((nA - 1 + nS, n))
     for k, (a, other) in enumerate(itertools.permutations(range(nA), 2)):
         block = slice(a * nS, (a + 1) * nS)
-        du = instance.utility[a] - instance.utility[other]
-        row = mu0 * ((1.0 - tau) * du + tau * float(mu0 @ du))
-        # Unit max-norm, so the solver's tolerances mean the same at every
-        # utility scale; a pair with equal utilities keeps its zero row.
-        scale = np.abs(row).max()
-        ge[k, block] = row / scale if scale > 0.0 else row
+        ge[k, block] = _pair_row(instance, tau, a, other)
         if other == d:
             # Indifference with the default is this row held at zero (the
             # indifference rows skip the default action), and every
@@ -123,8 +118,6 @@ def build_lp(instance: Instance, tau: float) -> LinearProgram:
             objective[block] = mu0
     for t in range(nS):
         eq[nA - 1 + t, t::nS] = 1.0
-    for rows in (ge, eq):
-        rows[np.abs(rows) < COEF_SNAP] = 0.0
 
     return LinearProgram(
         objective=objective,
@@ -133,6 +126,23 @@ def build_lp(instance: Instance, tau: float) -> LinearProgram:
         eq=eq,
         eq_rhs=np.concatenate([np.zeros(nA - 1), np.ones(nS)]),
     )
+
+
+def _pair_row(instance: Instance, tau: float, a: int, other: int) -> np.ndarray:
+    """The (a over other) optimality row on the conditionals pi(a|.).
+
+    Scaled to unit max-norm, so the solver's tolerances mean the same at
+    every utility scale (a pair with equal utilities keeps its zero row),
+    and snapped to zero below ``COEF_SNAP``.
+    """
+    mu0 = instance.prior.probs
+    du = instance.utility[a] - instance.utility[other]
+    row = mu0 * ((1.0 - tau) * du + tau * float(mu0 @ du))
+    scale = np.abs(row).max()
+    if scale > 0.0:
+        row = row / scale
+    row[np.abs(row) < COEF_SNAP] = 0.0
+    return row
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -259,15 +269,21 @@ def design_scheme(instance: Instance, tau: float) -> DesignResult:
     failure propagates as its own error (Infeasible or Numerical).
     """
     value, x = solve_lp(build_lp(instance, tau))
-    useful_mass = min(value, 1.0)  # probability; trim rounding excess
+    # solve_lp's solution is clipped nonnegative and holds every distribution
+    # row to ATOL: a scheme by construction.
+    return _design_result(instance, tau, value, x.reshape(instance.n_actions, instance.n_states))
+
+
+def _design_result(instance: Instance, tau: float, value: float, cond: np.ndarray) -> DesignResult:
+    """Wrap an optimum and its conditionals, one row per action, which must
+    form a scheme by construction.  p* is ``value`` trimmed of rounding
+    excess above 1; raises Untestable when p* <= ATOL."""
+    useful_mass = min(value, 1.0)
     if useful_mass <= ATOL:
         raise Untestable(tau)
-    # solve_lp's solution is clipped nonnegative and holds every distribution
-    # row to ATOL, and the instance's action labels are unique: a scheme by
-    # construction.
-    scheme = SignalingScheme._trusted(instance.actions, x.reshape(instance.n_actions, instance.n_states))
+    # The instance's action labels are unique, so the scheme needs no checks.
     return DesignResult(
-        scheme=scheme,
+        scheme=SignalingScheme._trusted(instance.actions, cond),
         useful_mass=useful_mass,
         sample_complexity=1.0 / useful_mass,
         threshold=tau,
@@ -290,12 +306,8 @@ def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
     """
     _check_threshold(tau)
     mu0 = instance.prior.probs
-    du = -instance.gaps[0]  # u_a - u_d
-    row = mu0 * ((1.0 - tau) * du + tau * float(mu0 @ du))
-    scale = np.abs(row).max()
-    if scale > 0.0:
-        row = row / scale
-    row[np.abs(row) < COEF_SNAP] = 0.0
+    a = 1 - instance.default_index
+    row = _pair_row(instance, tau, a, 1 - a)
 
     pi = (row >= 0.0).astype(float)
     budget = float(row @ pi)
@@ -314,20 +326,11 @@ def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
         raise Numerical("equality residual above tolerance")
     if not -float(row @ (1.0 - pi)) >= -ATOL:
         raise Numerical("inequality residual above tolerance")
-    useful_mass = min(float(mu0 @ pi), 1.0)
-    if useful_mass <= ATOL:
-        raise Untestable(tau)
     cond = np.empty((2, instance.n_states))
-    a = 1 - instance.default_index
     cond[a] = pi
     cond[1 - a] = 1.0 - pi
     # Both rows lie in [0, 1] and sum to one per state: a scheme by construction.
-    return DesignResult(
-        scheme=SignalingScheme._trusted(instance.actions, cond),
-        useful_mass=useful_mass,
-        sample_complexity=1.0 / useful_mass,
-        threshold=tau,
-    )
+    return _design_result(instance, tau, float(mu0 @ pi), cond)
 
 
 # Signals lighter than this are skipped by the biased-belief indifference

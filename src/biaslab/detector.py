@@ -16,7 +16,7 @@ import numpy as np
 from .agent import BiasedAgent, agent_act, episode_sampler
 from .core import ZERO_MASS, Instance, SignalingScheme
 from .design import _knapsack_design, design_scheme
-from .errors import DegenerateParameters, NothingTestable, Timeout
+from .errors import DegenerateParameters, NothingTestable, ShapeMismatch, Timeout
 from .geometry import testable_range
 
 # Default step budget: the exact horizon for residual failure probability
@@ -112,9 +112,17 @@ def _threshold_tests(instance, scheme, useful_signals, agent, rng, max_steps, re
 
     The sampler is built once, and the agent's response to a signal, fixed
     for one scheme and agent, is computed when an episode first needs it.
+    Inputs that could never end a test are rejected first.
     """
     useful = set(useful_signals)
     signals = scheme.signals
+    if not useful:
+        raise DegenerateParameters("no useful signals")
+    if max_steps < 1:
+        raise DegenerateParameters(f"max_steps={max_steps}")
+    unknown = useful.difference(signals)
+    if unknown:
+        raise ShapeMismatch(f"unknown signal {', '.join(sorted(map(repr, unknown)))}")
     is_useful = [s in useful for s in signals]
     draw = episode_sampler(instance, scheme)
     responses = {}  # signal index -> the agent's action
@@ -152,7 +160,9 @@ def threshold_test_on_scheme(
     On that episode the agent's move decides: sticking with the default
     action means the bias is at or above the threshold the scheme was built
     for, anything else means at or below.  Raises Timeout if no useful
-    signal lands within ``max_steps``.
+    signal lands within ``max_steps``, DegenerateParameters if
+    ``useful_signals`` is empty or ``max_steps`` < 1, and ShapeMismatch if
+    a useful signal is not one of the scheme's.
     """
     return next(_threshold_tests(instance, scheme, useful_signals, agent, rng, max_steps, record_trace))
 
@@ -231,7 +241,8 @@ def estimate_bias(
     """Bracket the hidden bias level by binary search over thresholds.
 
     Searches [0, tau_max], halving until the bracket is at most ``epsilon``
-    wide; each query is one threshold test.  When every answer says "at or
+    wide or consists of two adjacent doubles, the finest bracket floats can
+    hold; each query is one threshold test.  When every answer says "at or
     above" the level may lie beyond the testable range, so the interval is
     censored to [lo, 1].  If the requested width already covers the whole
     searchable range, a single query at tau_max settles which side applies.
@@ -248,6 +259,8 @@ def estimate_bias(
     saw_leq = False
     while hi - lo > epsilon:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            break
         verdict = threshold_test(instance, mid, agent, rng, max_steps_per_test)
         queries += 1
         if verdict.verdict == Verdict.GEQ:

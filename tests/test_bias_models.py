@@ -147,6 +147,15 @@ class TestCheckAssumptions:
         kinds = [c[0] for c in rep.counterexamples]
         assert "prior_anchored" in kinds and "interior_stable" in kinds
 
+    def test_drift_witnesses_in_order_found(self, twostate_instance):
+        # The distorted prior leaves the default region first, at level 0.12;
+        # an interior probe leaves it later, deepest at level 0.5.
+        rep = check_assumptions(DriftBias(), twostate_instance, 30, np.random.default_rng(2))
+        assert [c[0] for c in rep.counterexamples] == ["prior_anchored", "interior_stable"]
+        assert [c[2] for c in rep.counterexamples] == [pytest.approx(0.12), pytest.approx(0.5)]
+        assert rep.counterexamples[0][1] is twostate_instance.prior
+        assert (twostate_instance.gaps @ rep.counterexamples[1][1].probs).min() > 0.0  # interior
+
     def test_shifted_model_fails_endpoints(self, twostate_instance):
         rep = check_assumptions(ShiftedBias(), twostate_instance, 10, np.random.default_rng(2))
         assert rep.prior_anchored_ok and not rep.endpoints_ok

@@ -171,6 +171,16 @@ SIMULATE = ["simulate", "--tau", "0.5", "--w", "0.3", "--trials", "20"]
 ESTIMATE = ["estimate", "--w", "0.3", "--epsilon", "0.05"]
 WARPED = ["--bias-model", "warped", "--gamma"]
 CLASSIFY = ["classify", "--tau", "0.5"]
+DESIGN = ["design", "--tau", "0.5"]
+# Utility differences that overflow: between the two actions, or between
+# the two non-default actions of three.
+OVERFLOW_2X2 = _twostate(utility=((1e308, -1e308), (-1e308, 1e308)))
+OVERFLOW_2X3 = {
+    "states": ["G", "B"],
+    "actions": ["a0", "a1", "a2"],
+    "prior": [0.5, 0.5],
+    "utility": [[1.0, 1.0], [1e308, -1e308], [-1e308, 1e308]],
+}
 
 
 def _case(name, argv, code, instance=None, env=None):
@@ -209,6 +219,12 @@ class TestExitCodes:
             _case("utility-nan", CLASSIFY, 4, _twostate(utility=((float("nan"), -1.0), (0.0, 0.0)))),
             _case("prior-negative", CLASSIFY, 4, _twostate(prior=(-0.2, 1.2))),
             _case("one-state-with-mass", CLASSIFY, 4, _twostate(prior=(1.0, 0.0))),
+            _case("overflow-2x2-design", DESIGN, 4, OVERFLOW_2X2),
+            _case("overflow-2x2-classify", CLASSIFY, 4, OVERFLOW_2X2),
+            _case("overflow-2x2-estimate", ESTIMATE, 4, OVERFLOW_2X2),
+            _case("overflow-2x3-design", DESIGN, 4, OVERFLOW_2X3),
+            _case("overflow-2x3-classify", CLASSIFY, 4, OVERFLOW_2X3),
+            _case("overflow-2x3-estimate", ESTIMATE, 4, OVERFLOW_2X3),
         ],
     )
     def test_error_exit(self, argv, instance, env, code, tmp_path, monkeypatch, capsys):

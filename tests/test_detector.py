@@ -15,6 +15,7 @@ from biaslab import (
     design_scheme,
     empirical_sample_complexity,
     estimate_bias,
+    preference_sign,
     sample_episode,
     steps_for_confidence,
     threshold_test,
@@ -306,6 +307,36 @@ class TestEstimateBias:
                 rng = np.random.default_rng(int(w * 100) + int(eps * 1000))
                 iv = estimate_bias(twostate_instance, BiasedAgent(w=w), eps, rng)
                 assert iv.queries <= math.ceil(math.log2(0.625 / eps)) + 1
+
+    @pytest.mark.parametrize("epsilon", [1e-17, 1e-300])
+    @pytest.mark.parametrize("w", [0.0, 0.3, 1.0])
+    def test_stops_at_double_resolution(self, twostate_instance, w, epsilon, monkeypatch):
+        # Below the spacing of doubles near the level, the bracket can only
+        # shrink to two adjacent doubles.  The counter turns a search that
+        # never ends into a failure.
+        calls = []
+
+        def counted(*args, test=bl.detector.threshold_test):
+            calls.append(args[1])
+            if len(calls) > 5000:
+                raise AssertionError("the binary search does not end")
+            return test(*args)
+
+        monkeypatch.setattr(bl.detector, "threshold_test", counted)
+        inst = twostate_instance
+        iv = estimate_bias(inst, BiasedAgent(w=w), epsilon, np.random.default_rng(1))
+        assert iv.queries == len(calls)
+        if iv.censored:
+            assert iv.lo <= w and np.nextafter(iv.lo, 1.0) == bl.testable_range(inst)
+            return
+        assert iv.width <= epsilon or iv.hi == np.nextafter(iv.lo, 1.0)
+        # The agent breaks expected-utility ties within ATOL toward the
+        # default, so the level may lie beyond the bracket only where the
+        # agent is tied at the bracket's edge.
+        if not iv.lo <= w <= iv.hi:
+            edge = iv.lo if w < iv.lo else iv.hi
+            scheme = design_scheme(inst, edge).scheme
+            assert preference_sign(inst, scheme, "Active", "Active", "Passive", w) == 0
 
     def test_nothing_testable(self):
         inst = bl.make_instance(

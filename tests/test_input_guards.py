@@ -12,6 +12,7 @@ import pytest
 
 from biaslab import (
     Belief,
+    BiasedAgent,
     DesignResult,
     LinearBias,
     LinearProgram,
@@ -23,10 +24,12 @@ from biaslab import (
     preference_sign,
     scheme_from_posteriors,
     solve_lp,
+    threshold_test_on_scheme,
     translated_set_nonempty,
     verify_design,
 )
 from biaslab.errors import (
+    DegenerateParameters,
     InconsistentSplit,
     NonSimplexPrior,
     Numerical,
@@ -60,6 +63,16 @@ def _nan_design(inst):
     return verify_design(inst, 0.5, DesignResult(nan_scheme, res.useful_mass, res.sample_complexity, 0.5))
 
 
+def _test_on_design(inst, useful, max_steps=1000):
+    scheme = design_scheme(inst, 0.5).scheme
+    return threshold_test_on_scheme(inst, scheme, useful, BiasedAgent(w=0.3), np.random.default_rng(0), max_steps)
+
+
+# Each pair of actions differs by 2e308 in some state, which overflows; in
+# the three-action case only the two non-default actions do.
+OVERFLOW_2X2 = [[1e308, -1e308], [-1e308, 1e308]]
+OVERFLOW_2X3 = [[1.0, 1.0], [1e308, -1e308], [-1e308, 1e308]]
+
 GUARDS = [
     ("belief-2d", lambda inst: Belief(np.full((2, 2), 0.25)), ShapeMismatch, "1-D"),
     ("belief-nan", lambda inst: Belief(np.array([0.5, np.nan])), ValueError, "finite"),
@@ -86,6 +99,12 @@ GUARDS = [
     ("translated-set-tau", lambda inst: translated_set_nonempty(inst, "Active", 1.0), OutOfRangeThreshold, "outside"),
     ("verify-wrong-shape", _wrong_shape_design, VerificationFailed, "shape"),
     ("verify-nan-scheme", _nan_design, VerificationFailed, r"optimality.*nan.*indifference.*nan.*distribution: nan"),
+    ("utility-overflow-2x2", lambda inst: make_instance(["a", "b"], ["x", "y"], [0.2, 0.8], OVERFLOW_2X2), ShapeMismatch, "differences"),
+    ("utility-overflow-2x3", lambda inst: make_instance(["a", "b"], ["x", "y", "z"], [0.5, 0.5], OVERFLOW_2X3), ShapeMismatch, "differences"),
+    ("test-unknown-signal", lambda inst: _test_on_design(inst, ["Activ"]), ShapeMismatch, "unknown signal 'Activ'"),
+    ("test-no-useful-signals", lambda inst: _test_on_design(inst, []), DegenerateParameters, "no useful signals"),
+    ("test-max-steps-zero", lambda inst: _test_on_design(inst, ["Active"], max_steps=0), DegenerateParameters, "max_steps=0"),
+    ("test-max-steps-negative", lambda inst: _test_on_design(inst, ["Active"], max_steps=-3), DegenerateParameters, "max_steps=-3"),
     ("prior-nan", lambda inst: make_instance(["a", "b"], ["x", "y"], [np.nan, 1.0], [[1.0, 0.0], [0.0, 0.5]]), NonSimplexPrior, "finite"),
     ("lp-nan-objective", lambda inst: solve_lp(_one_variable_lp(objective=np.nan)), Numerical, "not finite"),
     ("lp-nan-row", lambda inst: solve_lp(_one_variable_lp(ge=np.nan, eq=False)), Numerical, "inequality residual"),
