@@ -19,6 +19,7 @@ from .core import (
     SignalingScheme,
     TieBreak,
     _check_level,
+    _check_states,
     bayes_posterior,
     best_response,
 )
@@ -56,6 +57,7 @@ def preference_sign(
     without forming the posterior (the signal mass multiplies through).
     """
     _check_level(w)
+    _check_states(instance, scheme.n_states, "scheme")
     s = scheme.signal_index(signal)
     mu0 = instance.prior.probs
     if float(scheme.cond[s] @ mu0) <= ZERO_MASS:
@@ -77,8 +79,10 @@ def episode_sampler(instance: Instance, scheme: SignalingScheme):
     scheme's conditional column for that state, scaled by the column's
     total.  The cumulative tables are built once here, and the sampler of
     the last (instance, scheme) pair is kept (both hash by identity), so
-    repeated calls on one scheme pay for them once.
+    repeated calls on one scheme pay for them once.  Raises ShapeMismatch
+    if the scheme does not cover the instance's states.
     """
+    _check_states(instance, scheme.n_states, "scheme")
     state_cdf = np.cumsum(instance.prior.probs).tolist()
     signal_cdfs = np.cumsum(scheme.cond, axis=0).T.tolist()
     last_state = instance.n_states - 1

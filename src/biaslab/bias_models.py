@@ -14,7 +14,7 @@ from typing import Mapping, Protocol, runtime_checkable
 import numpy as np
 
 from .core import (
-    ATOL, Belief, Instance, SignalingScheme, _check_threshold, biased_belief, scheme_from_posteriors, vertex_belief
+    ATOL, Belief, Instance, SignalingScheme, _bisect, _check_threshold, biased_belief, scheme_from_posteriors, vertex_belief
 )
 from .errors import NotSingleCrossing, Untestable
 
@@ -188,12 +188,7 @@ def crossing_level(phi: BiasFunction, instance: Instance, posterior: Belief) -> 
             break
         if g < -ATOL:
             lo = float(w)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if _min_gap(instance, phi.evaluate(prior, posterior, mid)) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi, _ = _bisect(lambda w: not _min_gap(instance, phi.evaluate(prior, posterior, w)) > 0.0, lo, hi, 1e-12)
     return 0.5 * (lo + hi)
 
 
@@ -255,14 +250,8 @@ def construct_finite_scheme(phi: BiasFunction, instance: Instance, tau: float) -
             point = Belief(t * vertex.probs + (1.0 - t) * prior.probs)
             return _min_gap(instance, phi.evaluate(prior, point, tau))
 
-        lo, hi = 0.0, 1.0  # image_gap(lo) > 0 >= image_gap(hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if image_gap(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        t_hat = hi
+        # image_gap(lo) > 0 >= image_gap(hi), within 80 halvings of [0, 1].
+        t_hat = _bisect(lambda t: image_gap(t) > 0.0, 0.0, 1.0, 2.0**-80)[1]
         if abs(image_gap(t_hat)) > ATOL:
             raise NotSingleCrossing("bisection did not land on the boundary")
 

@@ -70,6 +70,27 @@ def _check_level(w: float) -> None:
         raise OutOfRangeBias(f"bias level {w} outside [0, 1]")
 
 
+def _bisect(go_up, lo: float, hi: float, width: float) -> tuple:
+    """Halve [lo, hi] until it is at most ``width`` wide or holds two
+    adjacent doubles, the finest bracket floats can hold.
+
+    The midpoint replaces ``lo`` where ``go_up(mid)`` holds and ``hi``
+    otherwise.  Returns the final ``(lo, hi, calls)``, ``calls`` counting
+    the ``go_up`` evaluations.
+    """
+    calls = 0
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles
+            break
+        calls += 1
+        if go_up(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, calls
+
+
 def _label_index(labels: tuple, label, kind: str) -> int:
     try:
         return labels.index(label)
@@ -345,11 +366,19 @@ def load_instance(path) -> Instance:
         return validate_instance(json.load(fh))
 
 
+def _check_states(instance: Instance, n_states: int, what: str) -> None:
+    """Raise ShapeMismatch unless ``what`` covers the instance's states."""
+    if n_states != instance.n_states:
+        raise ShapeMismatch(f"{what} state count {n_states} does not match the instance's {instance.n_states}")
+
+
 def bayes_posterior(instance: Instance, scheme: SignalingScheme, signal) -> Belief:
     """Posterior over states after observing ``signal``.
 
-    Raises ZeroProbabilitySignal if the signal is (numerically) never sent.
+    Raises ZeroProbabilitySignal if the signal is (numerically) never sent,
+    and ShapeMismatch if the scheme does not cover the instance's states.
     """
+    _check_states(instance, scheme.n_states, "scheme")
     s = scheme.signal_index(signal)
     joint = instance.prior.probs * scheme.cond[s]
     total = joint.sum()
@@ -381,7 +410,9 @@ def best_response(
 
     The tie flag is set when two or more actions come within ``ATOL`` of
     the maximum; the tie-break rule then picks the winner deterministically.
+    Raises ShapeMismatch if the belief does not cover the instance's states.
     """
+    _check_states(instance, belief.dim, "belief")
     eu = instance.expected_utilities(belief)
     best = float(eu.max())
     tied = np.flatnonzero(eu >= best - ATOL)
@@ -405,6 +436,7 @@ def splitting_check(instance: Instance, scheme: SignalingScheme) -> float:
     reproduces the prior, so the residual must stay below ``ATOL``.
     Signals that are never sent are skipped.
     """
+    _check_states(instance, scheme.n_states, "scheme")
     probs = scheme.signal_probs(instance.prior)
     recon = np.zeros(instance.n_states)
     for s, p in enumerate(probs):

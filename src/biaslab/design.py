@@ -349,14 +349,17 @@ def verify_design(instance: Instance, tau: float, result: DesignResult) -> Desig
     mix each useful signal's posterior with the prior at weight ``tau`` and
     compare the expected utilities of the recommended and default actions,
     per unit of their largest utility gap.
-    Raises VerificationFailed when a residual exceeds ``VERIFY_TOL`` or is
-    NaN; the message names each failing row, and the distribution rows by
-    their worst one.
+    Raises VerificationFailed when the scheme's shape or signal labels are
+    not the instance's actions in order, or when a residual exceeds
+    ``VERIFY_TOL`` or is NaN; the message names each failing row, and the
+    distribution rows by their worst one.
     """
     scheme = result.scheme
     nA, nS = instance.n_actions, instance.n_states
     if scheme.n_signals != nA or scheme.n_states != nS:
         raise VerificationFailed("scheme shape does not match the instance")
+    if scheme.signals != instance.actions:  # threshold tests read verdicts off the labels
+        raise VerificationFailed(f"scheme signals {scheme.signals} are not the actions {instance.actions}")
     d = instance.default_index
     signals = scheme.signals
 

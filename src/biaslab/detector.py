@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .agent import BiasedAgent, agent_act, episode_sampler
-from .core import ZERO_MASS, Instance, SignalingScheme
+from .core import ZERO_MASS, Instance, SignalingScheme, _bisect
 from .design import _knapsack_design, design_scheme
 from .errors import DegenerateParameters, NothingTestable, ShapeMismatch, Timeout
 from .geometry import testable_range
@@ -162,7 +162,8 @@ def threshold_test_on_scheme(
     for, anything else means at or below.  Raises Timeout if no useful
     signal lands within ``max_steps``, DegenerateParameters if
     ``useful_signals`` is empty or ``max_steps`` < 1, and ShapeMismatch if
-    a useful signal is not one of the scheme's.
+    a useful signal is not one of the scheme's or the scheme does not cover
+    the instance's states.
     """
     return next(_threshold_tests(instance, scheme, useful_signals, agent, rng, max_steps, record_trace))
 
@@ -247,6 +248,12 @@ def estimate_bias(
     censored to [lo, 1].  If the requested width already covers the whole
     searchable range, a single query at tau_max settles which side applies.
     Raises NothingTestable when no threshold is testable at all.
+
+    The agent treats expected utilities within ``ATOL`` as tied and then
+    keeps the default action, so thresholds slightly above the level also
+    answer "at or above".  The bracket therefore holds the level only up
+    to that tie band: on the canonical two-state instance it lies up to
+    about 1.7e-9 above the level, and brackets narrower than that can miss it.
     """
     if not 0.0 < epsilon < 1.0:
         raise DegenerateParameters(f"epsilon={epsilon}")
@@ -254,27 +261,16 @@ def estimate_bias(
     if tau_max <= ZERO_MASS:
         raise NothingTestable("default action dominates everywhere")
 
-    lo, hi = 0.0, tau_max
-    queries = 0
-    saw_leq = False
-    while hi - lo > epsilon:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent doubles
-            break
-        verdict = threshold_test(instance, mid, agent, rng, max_steps_per_test)
-        queries += 1
-        if verdict.verdict == Verdict.GEQ:
-            lo = mid
-        else:
-            hi = mid
-            saw_leq = True
+    def at_or_above(tau: float) -> bool:
+        return threshold_test(instance, tau, agent, rng, max_steps_per_test).verdict == Verdict.GEQ
 
+    lo, hi, queries = _bisect(at_or_above, 0.0, tau_max, epsilon)
     if queries == 0:
-        verdict = threshold_test(instance, tau_max, agent, rng, max_steps_per_test)
-        if verdict.verdict == Verdict.GEQ:
+        if at_or_above(tau_max):
             return BiasInterval(lo=tau_max, hi=1.0, queries=1, censored=True)
         return BiasInterval(lo=0.0, hi=tau_max, queries=1, censored=False)
 
-    if not saw_leq:
+    # hi moves off tau_max exactly when some answer was "at or below".
+    if hi == tau_max:
         return BiasInterval(lo=lo, hi=1.0, queries=queries, censored=True)
     return BiasInterval(lo=lo, hi=hi, queries=queries, censored=False)

@@ -26,6 +26,7 @@ from biaslab import (
 )
 from biaslab.errors import NotSingleCrossing, Untestable
 from conftest import random_belief, random_instance
+from test_detector import CountingBias
 
 
 @dataclass(frozen=True)
@@ -204,6 +205,13 @@ class TestCrossingLevel:
         with pytest.raises(NotSingleCrossing, match="full-bias"):
             crossing_level(UnanchoredBias(), twostate_instance, Belief(np.array([0.8, 0.2])))
 
+    def test_evaluation_count(self, twostate_instance):
+        # One evaluation at level 0, 101 on the coarse grid, and 34 halvings
+        # of the 0.01 grid bracket down to 1e-12.
+        counting = CountingBias()
+        crossing_level(counting, twostate_instance, Belief(np.array([0.9, 0.1])))
+        assert counting.calls == 136
+
 
 class TestGeneralizedMembership:
     def test_boundary_point(self, twostate_instance):
@@ -296,6 +304,16 @@ class TestConstructFiniteScheme:
     def test_jumping_image_raises(self, twostate_instance):
         with pytest.raises(NotSingleCrossing, match="did not land on the boundary"):
             construct_finite_scheme(SnapBias(), twostate_instance, 0.5)
+
+    @pytest.mark.parametrize("tau", [0.2, 0.5])
+    def test_bisection_stops_at_double_resolution(self, twostate_instance, tau):
+        # The prior, two vertices, the boundary check and its margins take 5
+        # evaluations.  The bisection stops once its bracket holds two
+        # adjacent doubles, about 53 halvings in, not after a fixed 80.
+        counting = CountingBias()
+        res = construct_finite_scheme(counting, twostate_instance, tau)
+        assert res.vertex_state == "Good"
+        assert counting.calls <= 60
 
     def test_schemes_split_cleanly(self):
         rng = np.random.default_rng(12)

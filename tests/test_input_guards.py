@@ -5,6 +5,8 @@ must raise and a fragment of the message, and optionally a mark.  Guards on
 instance files and command-line values are rows of
 ``test_cli.py::TestExitCodes``.  Non-finite entries fail every guard they
 reach, including the solver's and the design check's final tolerance tests.
+A second table holds the calls that must reject a scheme or belief over
+another number of states than the instance's.
 """
 
 import numpy as np
@@ -17,13 +19,18 @@ from biaslab import (
     LinearBias,
     LinearProgram,
     SignalingScheme,
+    agent_act,
+    bayes_posterior,
+    best_response,
     construct_finite_scheme,
     design_scheme,
     generalized_membership,
     make_instance,
     preference_sign,
+    sample_episode,
     scheme_from_posteriors,
     solve_lp,
+    splitting_check,
     threshold_test_on_scheme,
     translated_set_nonempty,
     verify_design,
@@ -63,6 +70,12 @@ def _nan_design(inst):
     return verify_design(inst, 0.5, DesignResult(nan_scheme, res.useful_mass, res.sample_complexity, 0.5))
 
 
+def _relabelled_design(inst, signals):
+    res = design_scheme(inst, 0.5)
+    scheme = SignalingScheme(signals, res.scheme.cond)
+    return verify_design(inst, 0.5, DesignResult(scheme, res.useful_mass, res.sample_complexity, 0.5))
+
+
 def _test_on_design(inst, useful, max_steps=1000):
     scheme = design_scheme(inst, 0.5).scheme
     return threshold_test_on_scheme(inst, scheme, useful, BiasedAgent(w=0.3), np.random.default_rng(0), max_steps)
@@ -98,6 +111,8 @@ GUARDS = [
     ("finite-scheme-tau", lambda inst: construct_finite_scheme(LinearBias(), inst, 0.0), OutOfRangeThreshold, "outside"),
     ("translated-set-tau", lambda inst: translated_set_nonempty(inst, "Active", 1.0), OutOfRangeThreshold, "outside"),
     ("verify-wrong-shape", _wrong_shape_design, VerificationFailed, "shape"),
+    ("verify-swapped-labels", lambda inst: _relabelled_design(inst, ("Passive", "Active")), VerificationFailed, "are not the actions"),
+    ("verify-foreign-labels", lambda inst: _relabelled_design(inst, ("x", "y")), VerificationFailed, "are not the actions"),
     ("verify-nan-scheme", _nan_design, VerificationFailed, r"optimality.*nan.*indifference.*nan.*distribution: nan"),
     ("utility-overflow-2x2", lambda inst: make_instance(["a", "b"], ["x", "y"], [0.2, 0.8], OVERFLOW_2X2), ShapeMismatch, "differences"),
     ("utility-overflow-2x3", lambda inst: make_instance(["a", "b"], ["x", "y", "z"], [0.5, 0.5], OVERFLOW_2X3), ShapeMismatch, "differences"),
@@ -121,3 +136,29 @@ GUARDS = [
 def test_guard_raises(call, error, match, twostate_instance):
     with pytest.raises(error, match=match):
         call(twostate_instance)
+
+
+# Each call hands the two-state instance a scheme, or a belief, over a
+# different number of states.
+STATE_COUNT_CALLS = {
+    "bayes_posterior": lambda inst, scheme, belief: bayes_posterior(inst, scheme, "Active"),
+    "agent_act": lambda inst, scheme, belief: agent_act(BiasedAgent(w=0.3), inst, scheme, "Active"),
+    "sample_episode": lambda inst, scheme, belief: sample_episode(BiasedAgent(w=0.3), inst, scheme, np.random.default_rng(0)),
+    "threshold_test_on_scheme": lambda inst, scheme, belief: threshold_test_on_scheme(
+        inst, scheme, ["Active"], BiasedAgent(w=0.3), np.random.default_rng(0), 100
+    ),
+    "splitting_check": lambda inst, scheme, belief: splitting_check(inst, scheme),
+    "preference_sign": lambda inst, scheme, belief: preference_sign(inst, scheme, "Active", "Active", "Passive", 0.3),
+    "best_response": lambda inst, scheme, belief: best_response(inst, belief),
+}
+
+
+@pytest.mark.parametrize("n_states", [1, 3])
+@pytest.mark.parametrize("call", STATE_COUNT_CALLS.values(), ids=STATE_COUNT_CALLS.keys())
+def test_state_count_mismatch_raises(call, n_states, twostate_instance):
+    cond = np.zeros((2, n_states))
+    cond[0, 0] = cond[1, 1:] = 1.0  # "Active" in the first state only
+    scheme = SignalingScheme(("Active", "Passive"), cond)
+    belief = Belief(np.full(n_states, 1.0 / n_states))
+    with pytest.raises(ShapeMismatch, match=f"state count {n_states} does not match the instance's 2"):
+        call(twostate_instance, scheme, belief)
