@@ -77,13 +77,14 @@ def episode_sampler(instance: Instance, scheme: SignalingScheme):
     Each draw consumes exactly two ``rng.random()`` values: the state by
     inverse CDF over the prior, then the signal by inverse CDF over the
     scheme's conditional column for that state, scaled by the column's
-    total.  The cumulative tables are built once here, and the sampler of
-    the last (instance, scheme) pair is kept (both hash by identity), so
-    repeated calls on one scheme pay for them once.  Raises ShapeMismatch
-    if the scheme does not cover the instance's states.
+    total.  The state table is the instance's, built once per instance; the
+    signal tables are built here, and the sampler of the last (instance,
+    scheme) pair is kept (both hash by identity), so repeated calls on one
+    scheme pay for them once.  Raises ShapeMismatch if the scheme does not
+    cover the instance's states.
     """
     _check_states(instance, scheme.n_states, "scheme")
-    state_cdf = np.cumsum(instance.prior.probs).tolist()
+    state_cdf = instance._state_cdf
     signal_cdfs = np.cumsum(scheme.cond, axis=0).T.tolist()
     last_state = instance.n_states - 1
     n_signals = scheme.n_signals

@@ -172,6 +172,11 @@ class Instance:
     # Default-minus-action utility gaps, one row per non-default action in
     # action order; each row is positive at the prior.  Derived, read-only.
     gaps: np.ndarray = field(init=False, repr=False)
+    # Cumulative prior over states, the inverse-CDF table of every episode.
+    _state_cdf: tuple = field(init=False, repr=False)
+    # Two actions only: the (non-default over default) utility difference and
+    # its prior mean, the instance's part of every design row; else None.
+    _pair_gap: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "utility", _frozen(self.utility))
@@ -180,6 +185,12 @@ class Instance:
         # products over strided rows round differently from contiguous ones.
         gaps = [u[d] - u[a] for a in range(self.n_actions) if a != d]
         object.__setattr__(self, "gaps", _frozen(gaps))
+        object.__setattr__(self, "_state_cdf", tuple(np.cumsum(self.prior.probs).tolist()))
+        # Negating ``gaps[0]`` is exact, so both entries equal ``u[a] - u[d]``
+        # and its dot product with the prior bit for bit.
+        du = _frozen(-self.gaps[0])
+        pair = (du, float(self.prior.probs @ du)) if self.n_actions == 2 else None
+        object.__setattr__(self, "_pair_gap", pair)
 
     @property
     def n_states(self) -> int:
@@ -415,7 +426,7 @@ def best_response(
     _check_states(instance, belief.dim, "belief")
     eu = instance.expected_utilities(belief)
     best = float(eu.max())
-    tied = np.flatnonzero(eu >= best - ATOL)
+    tied = (eu >= best - ATOL).nonzero()[0]
     tie = tied.size > 1
     pick = int(tied[0])
     if tie:

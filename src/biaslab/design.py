@@ -109,7 +109,8 @@ def build_lp(instance: Instance, tau: float) -> LinearProgram:
     eq = np.zeros((nA - 1 + nS, n))
     for k, (a, other) in enumerate(itertools.permutations(range(nA), 2)):
         block = slice(a * nS, (a + 1) * nS)
-        ge[k, block] = _pair_row(instance, tau, a, other)
+        du = instance.utility[a] - instance.utility[other]
+        ge[k, block] = _pair_row(mu0, tau, du, float(mu0 @ du))
         if other == d:
             # Indifference with the default is this row held at zero (the
             # indifference rows skip the default action), and every
@@ -128,16 +129,15 @@ def build_lp(instance: Instance, tau: float) -> LinearProgram:
     )
 
 
-def _pair_row(instance: Instance, tau: float, a: int, other: int) -> np.ndarray:
-    """The (a over other) optimality row on the conditionals pi(a|.).
+def _pair_row(mu0: np.ndarray, tau: float, du: np.ndarray, mean_du: float) -> np.ndarray:
+    """The (a over other) optimality row on the conditionals pi(a|.), from
+    du = u[a] - u[other] and its prior mean ``mean_du``.
 
     Scaled to unit max-norm, so the solver's tolerances mean the same at
     every utility scale (a pair with equal utilities keeps its zero row),
     and snapped to zero below ``COEF_SNAP``.
     """
-    mu0 = instance.prior.probs
-    du = instance.utility[a] - instance.utility[other]
-    row = mu0 * ((1.0 - tau) * du + tau * float(mu0 @ du))
+    row = mu0 * ((1.0 - tau) * du + tau * mean_du)
     scale = np.abs(row).max()
     if scale > 0.0:
         row = row / scale
@@ -307,13 +307,15 @@ def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
     _check_threshold(tau)
     mu0 = instance.prior.probs
     a = 1 - instance.default_index
-    row = _pair_row(instance, tau, a, 1 - a)
+    row = _pair_row(mu0, tau, *instance._pair_gap)  # the (a over d) row
 
     pi = (row >= 0.0).astype(float)
     budget = float(row @ pi)
-    negative = np.flatnonzero(row < 0.0)
-    for t in negative[np.argsort(-row[negative] / mu0[negative], kind="stable")]:
-        cost = -row[t]
+    # The negative states are ordered (stably) and filled in Python floats,
+    # which round as numpy's elementwise operations do.
+    r, m = row.tolist(), mu0.tolist()
+    for t in sorted((t for t in range(len(r)) if r[t] < 0.0), key=lambda t: -r[t] / m[t]):
+        cost = -r[t]
         if cost >= budget:
             pi[t] = budget / cost
             break
@@ -322,13 +324,14 @@ def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
 
     # solve_lp's residual tests on the indifference row and the (d over a)
     # row, written so that NaN fails them.
+    rest = 1.0 - pi
     if not abs(float(row @ pi)) <= ATOL:
         raise Numerical("equality residual above tolerance")
-    if not -float(row @ (1.0 - pi)) >= -ATOL:
+    if not -float(row @ rest) >= -ATOL:
         raise Numerical("inequality residual above tolerance")
     cond = np.empty((2, instance.n_states))
     cond[a] = pi
-    cond[1 - a] = 1.0 - pi
+    cond[1 - a] = rest
     # Both rows lie in [0, 1] and sum to one per state: a scheme by construction.
     return _design_result(instance, tau, float(mu0 @ pi), cond)
 

@@ -6,7 +6,6 @@ testable thresholds turns those one-bit answers into a confidence interval
 for the hidden bias level.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -16,7 +15,7 @@ import numpy as np
 from .agent import BiasedAgent, agent_act, episode_sampler
 from .core import ZERO_MASS, Instance, SignalingScheme, _bisect
 from .design import _knapsack_design, design_scheme
-from .errors import DegenerateParameters, NothingTestable, ShapeMismatch, Timeout
+from .errors import DegenerateParameters, NothingTestable, ShapeMismatch, Timeout, Untestable
 from .geometry import testable_range
 
 # Default step budget: the exact horizon for residual failure probability
@@ -91,10 +90,14 @@ def steps_for_confidence(p_star: float, delta: float) -> ConfidenceHorizon:
     if not 0.0 < p_star <= 1.0 or not 0.0 < delta < 1.0:
         raise DegenerateParameters(f"p_star={p_star}, delta={delta}")
     log_delta = math.log(delta)
+    return ConfidenceHorizon(exact=_exact_horizon(p_star, log_delta), bound=_first_horizon(-p_star, log_delta))
+
+
+def _exact_horizon(p_star: float, log_delta: float) -> int:
+    """``steps_for_confidence(p_star, delta).exact`` for valid inputs."""
     # The miss probability (1 - p)**t is compared in logs: 1 - p would round
     # a tiny p away.  log1p(-p) <= -p, so exact <= bound.
-    exact = 1 if p_star == 1.0 else _first_horizon(math.log1p(-p_star), log_delta)
-    return ConfidenceHorizon(exact=exact, bound=_first_horizon(-p_star, log_delta))
+    return 1 if p_star == 1.0 else _first_horizon(math.log1p(-p_star), log_delta)
 
 
 def _first_horizon(log_miss: float, log_delta: float) -> int:
@@ -107,23 +110,17 @@ def _first_horizon(log_miss: float, log_delta: float) -> int:
     return t
 
 
-def _threshold_tests(instance, scheme, useful_signals, agent, rng, max_steps, record_trace=False):
-    """Yield successive ``threshold_test_on_scheme`` results for its arguments.
+def _threshold_tests(instance, scheme, is_useful, agent, rng, max_steps, trials, trace=None) -> list:
+    """Run ``trials`` successive threshold tests on one scheme; return the
+    ``(verdict, steps)`` pair of each.
 
-    The sampler is built once, and the agent's response to a signal, fixed
-    for one scheme and agent, is computed when an episode first needs it.
-    Inputs that could never end a test are rejected first.
+    ``is_useful`` flags the useful signals by index.  The callers have
+    checked their inputs, so nothing is checked again here.  The sampler is
+    built once, and the agent's response to a signal, fixed for one scheme
+    and agent, is computed when an episode first needs it.  When ``trace``
+    is a list, every episode is appended to it.
     """
-    useful = set(useful_signals)
     signals = scheme.signals
-    if not useful:
-        raise DegenerateParameters("no useful signals")
-    if max_steps < 1:
-        raise DegenerateParameters(f"max_steps={max_steps}")
-    unknown = useful.difference(signals)
-    if unknown:
-        raise ShapeMismatch(f"unknown signal {', '.join(sorted(map(repr, unknown)))}")
-    is_useful = [s in useful for s in signals]
     draw = episode_sampler(instance, scheme)
     responses = {}  # signal index -> the agent's action
 
@@ -132,18 +129,25 @@ def _threshold_tests(instance, scheme, useful_signals, agent, rng, max_steps, re
             responses[s] = agent_act(agent, instance, scheme, signals[s])
         return responses[s]
 
-    while True:
-        trace = []
+    results = []
+    for _ in range(trials):
         for step in range(1, max_steps + 1):
             t, s = draw(rng)
-            if record_trace:
+            if trace is not None:
                 trace.append((instance.states[t], signals[s], respond(s)))
             if is_useful[s]:
                 break
         else:
             raise Timeout(max_steps)
-        verdict = Verdict.GEQ if respond(s) == instance.default_action else Verdict.LEQ
-        yield ThresholdVerdict(verdict=verdict, steps=step, trace=tuple(trace) if record_trace else None)
+        results.append((Verdict.GEQ if respond(s) == instance.default_action else Verdict.LEQ, step))
+    return results
+
+
+def _single_test(instance, scheme, is_useful, agent, rng, max_steps, record_trace) -> ThresholdVerdict:
+    """One threshold test on checked inputs."""
+    trace = [] if record_trace else None
+    [(verdict, steps)] = _threshold_tests(instance, scheme, is_useful, agent, rng, max_steps, 1, trace)
+    return ThresholdVerdict(verdict=verdict, steps=steps, trace=None if trace is None else tuple(trace))
 
 
 def threshold_test_on_scheme(
@@ -165,23 +169,39 @@ def threshold_test_on_scheme(
     a useful signal is not one of the scheme's or the scheme does not cover
     the instance's states.
     """
-    return next(_threshold_tests(instance, scheme, useful_signals, agent, rng, max_steps, record_trace))
+    useful = set(useful_signals)
+    if not useful:
+        raise DegenerateParameters("no useful signals")
+    if max_steps < 1:
+        raise DegenerateParameters(f"max_steps={max_steps}")
+    unknown = useful.difference(scheme.signals)
+    if unknown:
+        raise ShapeMismatch(f"unknown signal {', '.join(sorted(map(repr, unknown)))}")
+    is_useful = [s in useful for s in scheme.signals]
+    return _single_test(instance, scheme, is_useful, agent, rng, max_steps, record_trace)
 
 
 def _test_plan(instance: Instance, tau: float, max_steps: int | None) -> tuple:
-    """Design the scheme for ``tau``; return the design, its useful signals
-    (the non-default recommendations that are ever sent) and the step budget.
-    A two-action design is solved in closed form, any other by the LP."""
-    design = (_knapsack_design if instance.n_actions == 2 else design_scheme)(instance, tau)
-    probs = design.scheme.signal_probs(instance.prior)
-    useful = [
-        s
-        for i, s in enumerate(design.scheme.signals)
-        if s != instance.default_action and probs[i] > ZERO_MASS
-    ]
+    """Design the scheme for ``tau``; return the design, its useful-signal
+    mask (the non-default recommendations that are ever sent) and the step
+    budget.  A two-action design is solved in closed form, any other by the
+    LP."""
+    d = instance.default_index
+    if instance.n_actions == 2:
+        design = _knapsack_design(instance, tau)
+        # The design's p* exceeds ATOL, and the non-default signal's mass
+        # equals p* up to rounding, far above ZERO_MASS: that signal is the
+        # useful one, and no second product with the prior is needed.
+        is_useful = [a != d for a in range(2)]
+    else:
+        design = design_scheme(instance, tau)
+        probs = design.scheme.signal_probs(instance.prior)
+        is_useful = [a != d and p > ZERO_MASS for a, p in enumerate(probs)]
     if max_steps is None:
-        max_steps = steps_for_confidence(design.useful_mass, DEFAULT_TIMEOUT_DELTA).exact
-    return design, useful, max_steps
+        max_steps = _exact_horizon(design.useful_mass, math.log(DEFAULT_TIMEOUT_DELTA))
+    elif max_steps < 1:
+        raise DegenerateParameters(f"max_steps={max_steps}")
+    return design, is_useful, max_steps
 
 
 def threshold_test(
@@ -198,8 +218,8 @@ def threshold_test(
     non-default recommendations.  Raises Untestable when the threshold
     cannot be tested at all.
     """
-    design, useful, max_steps = _test_plan(instance, tau, max_steps)
-    return threshold_test_on_scheme(instance, design.scheme, useful, agent, rng, max_steps, record_trace)
+    design, is_useful, max_steps = _test_plan(instance, tau, max_steps)
+    return _single_test(instance, design.scheme, is_useful, agent, rng, max_steps, record_trace)
 
 
 def empirical_sample_complexity(
@@ -224,9 +244,9 @@ def _sample_complexity(instance, tau, agent, rng, trials) -> tuple[ComplexityEst
     """``empirical_sample_complexity`` plus the expected test length of its design."""
     if trials < 1:
         raise DegenerateParameters(f"trials={trials}")
-    design, useful, max_steps = _test_plan(instance, tau, None)
-    tests = _threshold_tests(instance, design.scheme, useful, agent, rng, max_steps)
-    steps = np.array([v.steps for v in itertools.islice(tests, trials)], dtype=float)
+    design, is_useful, max_steps = _test_plan(instance, tau, None)
+    tests = _threshold_tests(instance, design.scheme, is_useful, agent, rng, max_steps, trials)
+    steps = np.array([steps for _, steps in tests], dtype=float)
     mean = float(steps.mean())
     stderr = float(steps.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None
     return ComplexityEstimate(mean=mean, stderr=stderr), design.sample_complexity
@@ -243,11 +263,21 @@ def estimate_bias(
 
     Searches [0, tau_max], halving until the bracket is at most ``epsilon``
     wide or consists of two adjacent doubles, the finest bracket floats can
-    hold; each query is one threshold test.  When every answer says "at or
-    above" the level may lie beyond the testable range, so the interval is
-    censored to [lo, 1].  If the requested width already covers the whole
-    searchable range, a single query at tau_max settles which side applies.
-    Raises NothingTestable when no threshold is testable at all.
+    hold.  Each query is one threshold test: one design for its threshold,
+    the episodes until a useful signal lands and one response of the agent;
+    the instance's own tables (utility gaps, the prior's cumulative sum and,
+    with two actions, the design row's utility difference) were built once
+    when it was validated.  When every answer says "at or above" the level
+    may lie beyond the testable range, so the interval is censored to
+    [lo, 1].  If the requested width already covers the whole searchable
+    range, a single query at tau_max settles which side applies.  Raises
+    NothingTestable when no threshold is testable at all.
+
+    With three or more actions a threshold just below tau_max can be
+    untestable.  If such a query follows only "at or above" answers, the
+    search stops with the censored bracket [lo, 1] from those answers, and
+    ``queries`` counts the untestable query too; after an "at or below"
+    answer, Untestable propagates.
 
     The agent treats expected utilities within ``ATOL`` as tied and then
     keeps the default action, so thresholds slightly above the level also
@@ -261,10 +291,21 @@ def estimate_bias(
     if tau_max <= ZERO_MASS:
         raise NothingTestable("default action dominates everywhere")
 
-    def at_or_above(tau: float) -> bool:
-        return threshold_test(instance, tau, agent, rng, max_steps_per_test).verdict == Verdict.GEQ
+    answers = []  # (tau, answered "at or above") per answered query
 
-    lo, hi, queries = _bisect(at_or_above, 0.0, tau_max, epsilon)
+    def at_or_above(tau: float) -> bool:
+        answers.append((tau, threshold_test(instance, tau, agent, rng, max_steps_per_test).verdict == Verdict.GEQ))
+        return answers[-1][1]
+
+    try:
+        lo, hi, queries = _bisect(at_or_above, 0.0, tau_max, epsilon)
+    except Untestable:
+        # The LP may find no useful mass at a threshold just below tau_max.
+        # If every answer so far was "at or above", the level lies at or
+        # above the last of them, and the bracket is censored there.
+        if not all(up for _, up in answers):
+            raise
+        return BiasInterval(lo=answers[-1][0] if answers else 0.0, hi=1.0, queries=len(answers) + 1, censored=True)
     if queries == 0:
         if at_or_above(tau_max):
             return BiasInterval(lo=tau_max, hi=1.0, queries=1, censored=True)

@@ -124,6 +124,37 @@ class TestEstimateCommand:
         data = json.loads(out)
         assert data["censored"] and data["hi"] == 1.0
 
+    # Three actions, level at or above tau_max = 0.686233923273375: the LP
+    # finds no useful mass at 0.6862339229538224, just below it.
+    THREE_ACTION = {
+        "states": ["s0", "s1"],
+        "actions": ["a0", "a1", "a2"],
+        "prior": [0.9044526371512319, 0.09554736284876802],
+        "utility": [
+            [-127.77480294230065, -89.87522679822335],
+            [48.57943541314611, -114.42840979778263],
+            [-124.11597063832048, 168.13577913550216],
+        ],
+    }
+
+    def _three_action(self, tmp_path, epsilon):
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(self.THREE_ACTION), encoding="utf-8")
+        return run_cli(["estimate", "--instance", str(path), "--w", "1.0", "--epsilon", epsilon, "--seed", "1"])
+
+    @pytest.mark.parametrize("epsilon", ["1e-12", "1e-15"])
+    def test_untestable_query_below_tau_max_is_censored(self, tmp_path, epsilon):
+        code, out = self._three_action(tmp_path, epsilon)
+        assert code == 0
+        data = json.loads(out)
+        assert data["censored"] and data["hi"] == 1.0
+        assert data["lo"] >= 0.6862339226342697
+
+    def test_three_action_result_unchanged_above_tie_band(self, tmp_path):
+        code, out = self._three_action(tmp_path, "1e-9")
+        assert code == 0
+        assert json.loads(out) == {"lo": 0.6862339226342697, "hi": 1.0, "queries": 30, "censored": True}
+
 
 class TestSweepCommand:
     def test_default_grid_csv(self, instance_file):

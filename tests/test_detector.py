@@ -21,6 +21,8 @@ from biaslab import (
     threshold_test,
     threshold_test_on_scheme,
 )
+from biaslab.core import ZERO_MASS
+from biaslab.design import _knapsack_design
 from biaslab.detector import DEFAULT_TIMEOUT_DELTA
 from biaslab.errors import (
     DegenerateParameters,
@@ -352,3 +354,92 @@ class TestEstimateBias:
         iv = estimate_bias(twostate_instance, BiasedAgent(w=0.3), 0.1, np.random.default_rng(2))
         data = iv.to_json_dict()
         assert set(data) == {"lo", "hi", "queries", "censored"}
+
+
+class TestThresholdTestEquivalence:
+    """threshold_test against threshold_test_on_scheme on its own design."""
+
+    @staticmethod
+    def _two_action_instances():
+        rng = np.random.default_rng(7)
+        instances = []
+        for n_states in range(2, 9):
+            inst = random_instance(rng, n_states=n_states, n_actions=2)
+            while bl.testable_range(inst) < 0.05:  # nothing worth testing
+                inst = random_instance(rng, n_states=n_states, n_actions=2)
+            instances.append(inst)
+        return instances
+
+    @pytest.mark.parametrize("bias_fn", [LinearBias(), WarpedLinear(gamma=2.0)])
+    @pytest.mark.parametrize("tiebreak", list(TieBreak))
+    def test_matches_test_on_designed_scheme(self, symmetric3_instance, bias_fn, tiebreak):
+        compared = 0
+        for inst in self._two_action_instances() + [symmetric3_instance]:
+            tau_max = bl.testable_range(inst)
+            for k, fraction in enumerate((0.1, 0.35, 0.5, 0.8, 0.99)):
+                tau = fraction * tau_max
+                route = _knapsack_design if inst.n_actions == 2 else design_scheme
+                design = route(inst, tau)
+                probs = design.scheme.signal_probs(inst.prior)
+                useful = [
+                    s for s, p in zip(design.scheme.signals, probs)
+                    if s != inst.default_action and p > ZERO_MASS
+                ]
+                horizon = steps_for_confidence(design.useful_mass, DEFAULT_TIMEOUT_DELTA).exact
+                for w in (0.2, tau, 0.7):
+                    agent = BiasedAgent(w=w, bias_fn=bias_fn, tiebreak=tiebreak)
+                    rng, twin = np.random.default_rng(k), np.random.default_rng(k)
+                    for record_trace in (False, True):
+                        v = threshold_test(inst, tau, agent, rng, record_trace=record_trace)
+                        ref = threshold_test_on_scheme(
+                            inst, design.scheme, useful, agent, twin, horizon, record_trace=record_trace
+                        )
+                        assert (v.verdict, v.steps, v.trace) == (ref.verdict, ref.steps, ref.trace)
+                        compared += 1
+                    assert rng.bit_generator.state == twin.bit_generator.state
+        assert compared == 2 * 3 * 5 * 8
+
+
+class TestEstimateBiasQueries:
+    def test_agent_asked_once_per_query(self, twostate_instance):
+        for w, epsilon in ((0.3, 1e-6), (0.9, 1e-3), (0.0, 1e-9)):
+            counting = CountingBias()
+            iv = estimate_bias(twostate_instance, BiasedAgent(w=w, bias_fn=counting), epsilon, np.random.default_rng(4))
+            assert counting.calls == iv.queries > 1
+
+    @staticmethod
+    def _scripted(monkeypatch, answers):
+        """Replace threshold_test by one that plays ``answers``: a verdict,
+        or Untestable, per query."""
+        taus = []
+
+        def scripted(instance, tau, *args):
+            taus.append(tau)
+            answer = answers[len(taus) - 1]
+            if answer is Untestable:
+                raise Untestable(tau)
+            return bl.ThresholdVerdict(verdict=answer, steps=1)
+
+        monkeypatch.setattr(bl.detector, "threshold_test", scripted)
+        return taus
+
+    def test_untestable_after_only_geq_is_censored(self, twostate_instance, monkeypatch):
+        taus = self._scripted(monkeypatch, [Verdict.GEQ, Verdict.GEQ, Untestable])
+        iv = estimate_bias(twostate_instance, BiasedAgent(w=0.5), 1e-6, np.random.default_rng(0))
+        assert (iv.lo, iv.hi, iv.queries, iv.censored) == (taus[1], 1.0, 3, True)
+
+    def test_untestable_first_query_is_censored_at_zero(self, twostate_instance, monkeypatch):
+        self._scripted(monkeypatch, [Untestable])
+        iv = estimate_bias(twostate_instance, BiasedAgent(w=0.5), 1e-6, np.random.default_rng(0))
+        assert (iv.lo, iv.hi, iv.queries, iv.censored) == (0.0, 1.0, 1, True)
+
+    def test_untestable_after_leq_raises(self, twostate_instance, monkeypatch):
+        self._scripted(monkeypatch, [Verdict.GEQ, Verdict.LEQ, Verdict.GEQ, Untestable])
+        with pytest.raises(Untestable):
+            estimate_bias(twostate_instance, BiasedAgent(w=0.5), 1e-6, np.random.default_rng(0))
+
+    def test_untestable_at_tau_max_raises(self, twostate_instance, monkeypatch):
+        # A single query at tau_max has no answers to censor from.
+        self._scripted(monkeypatch, [Untestable])
+        with pytest.raises(Untestable):
+            estimate_bias(twostate_instance, BiasedAgent(w=0.5), 0.9, np.random.default_rng(0))
