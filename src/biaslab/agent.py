@@ -9,6 +9,7 @@ shortcut for the same comparison, used to cross-validate simulations.
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -82,10 +83,14 @@ def episode_sampler(instance: Instance, scheme: SignalingScheme):
     scheme) pair is kept (both hash by identity), so repeated calls on one
     scheme pay for them once.  Raises ShapeMismatch if the scheme does not
     cover the instance's states.
+
+    Each signal table is a running sum of Python floats down one column,
+    the same additions in the same order as numpy's ``cumsum`` along the
+    signals, so the tables, and every draw, are bit for bit numpy's.
     """
     _check_states(instance, scheme.n_states, "scheme")
     state_cdf = instance._state_cdf
-    signal_cdfs = np.cumsum(scheme.cond, axis=0).T.tolist()
+    signal_cdfs = [list(accumulate(column)) for column in scheme.cond.T.tolist()]
     last_state = instance.n_states - 1
     n_signals = scheme.n_signals
 

@@ -174,8 +174,9 @@ class Instance:
     gaps: np.ndarray = field(init=False, repr=False)
     # Cumulative prior over states, the inverse-CDF table of every episode.
     _state_cdf: tuple = field(init=False, repr=False)
-    # Two actions only: the (non-default over default) utility difference and
-    # its prior mean, the instance's part of every design row; else None.
+    # Two actions only: the prior, the (non-default over default) utility
+    # difference, both as tuples of floats, and that difference's prior
+    # mean, the instance's part of every design row; else None.
     _pair_gap: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -186,10 +187,12 @@ class Instance:
         gaps = [u[d] - u[a] for a in range(self.n_actions) if a != d]
         object.__setattr__(self, "gaps", _frozen(gaps))
         object.__setattr__(self, "_state_cdf", tuple(np.cumsum(self.prior.probs).tolist()))
-        # Negating ``gaps[0]`` is exact, so both entries equal ``u[a] - u[d]``
-        # and its dot product with the prior bit for bit.
-        du = _frozen(-self.gaps[0])
-        pair = (du, float(self.prior.probs @ du)) if self.n_actions == 2 else None
+        # Negating ``gaps[0]`` is exact, so the entries equal ``u[a] - u[d]``
+        # and the mean its dot product with the prior, bit for bit.
+        pair = None
+        if self.n_actions == 2:
+            du = -self.gaps[0]
+            pair = (tuple(self.prior.probs.tolist()), tuple(du.tolist()), float(self.prior.probs @ du))
         object.__setattr__(self, "_pair_gap", pair)
 
     @property
@@ -422,22 +425,26 @@ def best_response(
     The tie flag is set when two or more actions come within ``ATOL`` of
     the maximum; the tie-break rule then picks the winner deterministically.
     Raises ShapeMismatch if the belief does not cover the instance's states.
+
+    The expected utilities are one numpy product; the maximum and the ties
+    are read from them as Python floats, which compare and subtract exactly
+    as numpy's scalars do, so the answer is bit for bit the numpy one.
     """
     _check_states(instance, belief.dim, "belief")
-    eu = instance.expected_utilities(belief)
-    best = float(eu.max())
-    tied = (eu >= best - ATOL).nonzero()[0]
-    tie = tied.size > 1
-    pick = int(tied[0])
+    eu = instance.expected_utilities(belief).tolist()
+    floor = max(eu) - ATOL
+    tied = [a for a, value in enumerate(eu) if value >= floor]
+    tie = len(tied) > 1
+    pick = tied[0]
     if tie:
         d = instance.default_index
         if tiebreak is TieBreak.PREFER_DEFAULT and d in tied:
             pick = d
         elif tiebreak is TieBreak.PREFER_NON_DEFAULT:
-            non_default = [int(i) for i in tied if i != d]
+            non_default = [a for a in tied if a != d]
             if non_default:
                 pick = non_default[0]
-    return BestResponse(instance.actions[pick], float(eu[pick]), tie)
+    return BestResponse(instance.actions[pick], eu[pick], tie)
 
 
 def splitting_check(instance: Instance, scheme: SignalingScheme) -> float:

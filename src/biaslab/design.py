@@ -12,6 +12,8 @@ episodes until the agent's response reveals the side of the threshold.
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
+from typing import Sequence
 
 import numpy as np
 
@@ -103,6 +105,7 @@ def build_lp(instance: Instance, tau: float) -> LinearProgram:
     n = nA * nS
     d = instance.default_index
     mu0 = instance.prior.probs
+    prior = mu0.tolist()
 
     objective = np.zeros(n)
     ge = np.zeros((nA * (nA - 1), n))
@@ -110,7 +113,7 @@ def build_lp(instance: Instance, tau: float) -> LinearProgram:
     for k, (a, other) in enumerate(itertools.permutations(range(nA), 2)):
         block = slice(a * nS, (a + 1) * nS)
         du = instance.utility[a] - instance.utility[other]
-        ge[k, block] = _pair_row(mu0, tau, du, float(mu0 @ du))
+        ge[k, block] = _pair_row(prior, tau, du.tolist(), float(mu0 @ du))
         if other == d:
             # Indifference with the default is this row held at zero (the
             # indifference rows skip the default action), and every
@@ -129,20 +132,24 @@ def build_lp(instance: Instance, tau: float) -> LinearProgram:
     )
 
 
-def _pair_row(mu0: np.ndarray, tau: float, du: np.ndarray, mean_du: float) -> np.ndarray:
+def _pair_row(mu0: Sequence[float], tau: float, du: Sequence[float], mean_du: float) -> list:
     """The (a over other) optimality row on the conditionals pi(a|.), from
-    du = u[a] - u[other] and its prior mean ``mean_du``.
+    the prior ``mu0``, du = u[a] - u[other] and its prior mean ``mean_du``.
 
     Scaled to unit max-norm, so the solver's tolerances mean the same at
     every utility scale (a pair with equal utilities keeps its zero row),
-    and snapped to zero below ``COEF_SNAP``.
+    and snapped to zero below ``COEF_SNAP``.  The row is a list of Python
+    floats: each entry takes the same IEEE operations in the same order as
+    the elementwise numpy form ``mu0 * ((1 - tau) * du + tau * mean_du)``,
+    so it is bit for bit the row numpy would build.  The one reduction,
+    the dot product ``mean_du``, is the caller's and stays in numpy.
     """
-    row = mu0 * ((1.0 - tau) * du + tau * mean_du)
-    scale = np.abs(row).max()
-    if scale > 0.0:
-        row = row / scale
-    row[np.abs(row) < COEF_SNAP] = 0.0
-    return row
+    keep, shift = 1.0 - tau, tau * mean_du
+    row = [m * (keep * x + shift) for m, x in zip(mu0, du)]
+    scale = max(map(abs, row))
+    if not scale > 0.0:
+        scale = 1.0  # a zero row stays as it is, and x / 1.0 is x
+    return [0.0 if abs(y := x / scale) < COEF_SNAP else y for x in row]
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -303,19 +310,22 @@ def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
     since row sums to the scaled mu0 @ (u_a - u_d) < 0.  Raises what
     ``design_scheme`` raises: Untestable when p* <= ATOL and Numerical when
     a residual check of ``solve_lp`` fails.
+
+    The row, the fill and the residual tests run on Python floats, which
+    round each elementwise step as numpy does.  The two sums that reach
+    the design, the budget and p*, stay numpy dot products: numpy sums 16
+    or more terms in blocks, in an order plain Python does not repeat.
     """
     _check_threshold(tau)
-    mu0 = instance.prior.probs
     a = 1 - instance.default_index
-    row = _pair_row(mu0, tau, *instance._pair_gap)  # the (a over d) row
+    mu0, du, mean_du = instance._pair_gap
+    row = _pair_row(mu0, tau, du, mean_du)  # the (a over d) row
 
-    pi = (row >= 0.0).astype(float)
-    budget = float(row @ pi)
-    # The negative states are ordered (stably) and filled in Python floats,
-    # which round as numpy's elementwise operations do.
-    r, m = row.tolist(), mu0.tolist()
-    for t in sorted((t for t in range(len(r)) if r[t] < 0.0), key=lambda t: -r[t] / m[t]):
-        cost = -r[t]
+    pi = [1.0 if r >= 0.0 else 0.0 for r in row]
+    budget = float(np.dot(row, pi))
+    # The negative states, ordered (stably) by cost per unit of prior mass.
+    for t in sorted((t for t, r in enumerate(row) if r < 0.0), key=lambda t: -row[t] / mu0[t]):
+        cost = -row[t]
         if cost >= budget:
             pi[t] = budget / cost
             break
@@ -323,17 +333,16 @@ def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
         budget -= cost
 
     # solve_lp's residual tests on the indifference row and the (d over a)
-    # row, written so that NaN fails them.
-    rest = 1.0 - pi
-    if not abs(float(row @ pi)) <= ATOL:
+    # row, written so that NaN fails them.  Their sums are compared with
+    # ATOL only, far above where the order of rounding matters.
+    rest = [1.0 - p for p in pi]
+    if not abs(sum(map(mul, row, pi))) <= ATOL:
         raise Numerical("equality residual above tolerance")
-    if not -float(row @ rest) >= -ATOL:
+    if not -sum(map(mul, row, rest)) >= -ATOL:
         raise Numerical("inequality residual above tolerance")
-    cond = np.empty((2, instance.n_states))
-    cond[a] = pi
-    cond[1 - a] = rest
+    cond = np.array((pi, rest) if a == 0 else (rest, pi))
     # Both rows lie in [0, 1] and sum to one per state: a scheme by construction.
-    return _design_result(instance, tau, float(mu0 @ pi), cond)
+    return _design_result(instance, tau, float(instance.prior.probs @ cond[a]), cond)
 
 
 # Signals lighter than this are skipped by the biased-belief indifference

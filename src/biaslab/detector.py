@@ -21,6 +21,7 @@ from .geometry import testable_range
 # Default step budget: the exact horizon for residual failure probability
 # 1e-9, so a Timeout is practically impossible yet runtime stays bounded.
 DEFAULT_TIMEOUT_DELTA = 1e-9
+_LOG_TIMEOUT_DELTA = math.log(DEFAULT_TIMEOUT_DELTA)
 
 
 class Verdict:
@@ -198,7 +199,7 @@ def _test_plan(instance: Instance, tau: float, max_steps: int | None) -> tuple:
         probs = design.scheme.signal_probs(instance.prior)
         is_useful = [a != d and p > ZERO_MASS for a, p in enumerate(probs)]
     if max_steps is None:
-        max_steps = _exact_horizon(design.useful_mass, math.log(DEFAULT_TIMEOUT_DELTA))
+        max_steps = _exact_horizon(design.useful_mass, _LOG_TIMEOUT_DELTA)
     elif max_steps < 1:
         raise DegenerateParameters(f"max_steps={max_steps}")
     return design, is_useful, max_steps

@@ -136,6 +136,22 @@ class TestSampleEpisode:
         assert episode_sampler(twostate_instance, designed) is first
         assert episode_sampler(twostate_instance, other) is not first
 
+    def test_draws_match_numpy_tables(self):
+        # Reference: the same two uniforms read through numpy's cumulative
+        # tables; the sampler's Python-float tables must draw identically.
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            inst = random_instance(rng, n_states=int(rng.integers(2, 7)))
+            scheme = random_scheme(rng, inst.n_states, n_signals=int(rng.integers(2, 9)))
+            state_cdf, signal_cdf = np.cumsum(inst.prior.probs), np.cumsum(scheme.cond, axis=0)
+            draw, ours, ref = episode_sampler(inst, scheme), np.random.default_rng(7), np.random.default_rng(7)
+            for _ in range(200):
+                t = min(int(np.searchsorted(state_cdf, ref.random(), side="right")), inst.n_states - 1)
+                s = int(np.searchsorted(signal_cdf[:, t], ref.random() * signal_cdf[-1, t], side="right"))
+                if s >= scheme.n_signals:
+                    s = int(np.flatnonzero(scheme.cond[:, t] > 0.0).max())
+                assert draw(ours) == (t, s)
+
 
 class TestSingleCrossing:
     def test_designed_boundary_signal_switches_once(self, twostate_instance, designed):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from biaslab import (
@@ -30,6 +30,7 @@ from biaslab.errors import (
     ShapeMismatch,
     ZeroProbabilitySignal,
 )
+from biaslab.core import ATOL
 from conftest import random_belief, random_instance, random_scheme
 
 
@@ -175,9 +176,11 @@ class TestInstanceGaps:
             inst = random_instance(rng, n_states=n_states, n_actions=2)
             u, d, mu0 = inst.utility, inst.default_index, inst.prior.probs
             du = u[1 - d] - u[d]
-            assert inst._pair_gap[0].tobytes() == du.tobytes()
-            assert inst._pair_gap[1].hex() == float(mu0 @ du).hex()
-            assert not inst._pair_gap[0].flags.writeable
+            prior, gap, mean = inst._pair_gap
+            assert isinstance(prior, tuple) and isinstance(gap, tuple)  # immutable
+            assert [x.hex() for x in prior] == [x.hex() for x in mu0.tolist()]
+            assert [x.hex() for x in gap] == [x.hex() for x in du.tolist()]
+            assert mean.hex() == float(mu0 @ du).hex()
             assert inst._state_cdf == tuple(np.cumsum(mu0).tolist())
         assert symmetric3_instance._pair_gap is None
 
@@ -291,6 +294,73 @@ class TestBestResponse:
                 utility=np.asarray(inst.utility) + rng.normal(size=inst.n_states),
             )
             assert best_response(shifted, belief).action == base
+
+    @staticmethod
+    def _numpy_reference(instance, belief, tiebreak):
+        """The rule on numpy arrays and scalars throughout."""
+        eu = instance.utility @ belief.probs
+        tied = (eu >= float(eu.max()) - ATOL).nonzero()[0]
+        pick = int(tied[0])
+        if tied.size > 1:
+            d = instance.default_index
+            non_default = [int(i) for i in tied if i != d]
+            if tiebreak is TieBreak.PREFER_DEFAULT and d in tied:
+                pick = d
+            elif tiebreak is TieBreak.PREFER_NON_DEFAULT and non_default:
+                pick = non_default[0]
+        return instance.actions[pick], float(eu[pick]).hex(), bool(tied.size > 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n_states=st.integers(2, 5),
+        n_actions=st.integers(2, 5),
+        vertex=st.booleans(),
+        # The second action's gap below the first, in units of ATOL: exactly
+        # the tie bound, just inside it, just outside it; None keeps the draw.
+        gap=st.sampled_from([None, 1.0, 1.0 - 1e-3, 1.0 + 1e-3]),
+        pair_with_default=st.booleans(),
+    )
+    def test_matches_numpy_reference(self, data, n_states, n_actions, vertex, gap, pair_with_default):
+        entries = st.floats(-10.0, 10.0, allow_nan=False)
+        u = np.array(data.draw(st.lists(entries, min_size=n_actions * n_states, max_size=n_actions * n_states)))
+        u = u.reshape(n_actions, n_states)
+        prior = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n_states, max_size=n_states)))
+        prior /= prior.sum()
+        if vertex:
+            t = data.draw(st.integers(0, n_states - 1))
+            probs = np.eye(n_states)[t]
+        else:
+            probs = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_states, max_size=n_states))) + 1e-3
+            probs /= probs.sum()
+        if gap is not None:
+            # Make action i the best at the belief and put action j gap * ATOL
+            # below it: at the belief's state for a vertex, else everywhere.
+            i = int(np.argmax(u @ prior)) if pair_with_default else int(np.argmax(u @ probs))
+            j = data.draw(st.integers(0, n_actions - 2))
+            j += j >= i  # any action but i
+            cols = [t] if vertex else slice(None)
+            u[i, cols] = u[:, cols].max(axis=0) + 1.0
+            u[j, cols] = u[i, cols] - gap * ATOL
+        try:
+            inst = make_instance([f"t{k}" for k in range(n_states)], [f"a{k}" for k in range(n_actions)], prior, u)
+        except NoUniqueDefault:
+            assume(False)
+        belief = Belief(probs)
+        expected = {tiebreak: self._numpy_reference(inst, belief, tiebreak) for tiebreak in TieBreak}
+        event(f"tie: {expected[TieBreak.FIXED_ORDER][2]}, default picked: {expected[TieBreak.PREFER_DEFAULT][0] == inst.default_action}")
+        for tiebreak in TieBreak:
+            got = best_response(inst, belief, tiebreak)
+            assert (got.action, got.expected_utility.hex(), got.tie) == expected[tiebreak]
+
+    def test_tie_bound_is_inclusive(self):
+        # A vertex belief reads one utility column exactly: a second action
+        # ATOL below the best ties with it, and one 1e-3 ATOL further does not.
+        for gap, tie in ((1.0, True), (1.0 - 1e-3, True), (1.0 + 1e-3, False)):
+            u = [[2.0, 0.0], [2.0 - gap * ATOL, 0.5]]
+            inst = make_instance(["t0", "t1"], ["a0", "a1"], [0.5, 0.5], u)
+            r = best_response(inst, vertex_belief(2, 0), TieBreak.PREFER_DEFAULT)
+            assert r.tie is tie and r.action == ("a1" if tie else "a0")
 
 
 class TestSplitting:

@@ -20,7 +20,7 @@ from biaslab import (
 )
 from biaslab.cli import run_cli
 from biaslab.core import SignalingScheme
-from biaslab.design import _knapsack_design
+from biaslab.design import COEF_SNAP, _knapsack_design, _pair_row
 from biaslab.errors import (
     Infeasible,
     NoUniqueDefault,
@@ -63,6 +63,27 @@ class TestBuildLp:
     def test_threshold_range(self, twostate_instance, tau):
         with pytest.raises(OutOfRangeThreshold):
             build_lp(twostate_instance, tau)
+
+    def test_pair_row_matches_numpy_form(self):
+        # Reference: the row on numpy arrays.  Rows of 2 to 40 states at
+        # utility scales 1e-6 to 1e9, zero rows, and entries that cancel
+        # to rounding noise, which the snap must zero.
+        rng = np.random.default_rng(8)
+        for k in range(600):
+            n = int(rng.integers(2, 41))
+            mu0 = rng.dirichlet(np.ones(n))
+            du = rng.normal(size=n) * 10.0 ** int(rng.integers(-6, 10)) * (k % 50 != 0)
+            tau = float(rng.random())
+            mean = float(mu0 @ du)
+            if k % 3 == 0:  # cancel state 0: (1 - tau) * du[0] == -tau * mean up to rounding
+                du[0] = -tau * mean / (1.0 - tau)
+            ref = mu0 * ((1.0 - tau) * du + tau * mean)
+            scale = np.abs(ref).max()
+            if scale > 0.0:
+                ref = ref / scale
+            ref[np.abs(ref) < COEF_SNAP] = 0.0
+            row = _pair_row(mu0.tolist(), tau, du.tolist(), mean)
+            assert [x.hex() for x in row] == [x.hex() for x in ref.tolist()]
 
 
 class TestSolveLp:
@@ -462,3 +483,29 @@ class TestKnapsackDesign:
                 verify_design(inst, tau, res)
                 designs += 1
         assert designs > 1000
+
+
+class TestKnownLpDefects:
+    """Two-action instances on which the simplex route breaks just below
+    tau_max.  The tests state the right answer and are marked as expected
+    failures while the simplex raises ``Numerical`` there; the marks are
+    strict, so the fix must remove them."""
+
+    RAW = {
+        "states": ["t0", "t1", "t2"],
+        "actions": ["a0", "a1"],
+        "prior": [0.16205389614269305, 0.5432453815373258, 0.2947007223199811],
+        "utility": [
+            [3751.6870035287156, 7264.802371589311, -1580.4085129061582],
+            [-3044.514968444256, 5266.232389318601, 2263.388278408204],
+        ],
+    }
+    TAU = 0.7847538870179905  # 1e-8 below tau_max
+
+    @pytest.mark.xfail(strict=True, raises=Numerical, reason="simplex: equality residual above tolerance")
+    def test_design_just_below_tau_max(self):
+        inst = make_instance(**self.RAW)
+        res = design_scheme(inst, self.TAU)
+        assert res.useful_mass == pytest.approx(_knapsack_design(inst, self.TAU).useful_mass, abs=1e-9)
+        assert res.useful_mass == pytest.approx(scipy_optimum(build_lp(inst, self.TAU)), abs=1e-9)
+        verify_design(inst, self.TAU, res)

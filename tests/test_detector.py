@@ -27,6 +27,7 @@ from biaslab.detector import DEFAULT_TIMEOUT_DELTA
 from biaslab.errors import (
     DegenerateParameters,
     NothingTestable,
+    Numerical,
     Timeout,
     Untestable,
 )
@@ -443,3 +444,21 @@ class TestEstimateBiasQueries:
         self._scripted(monkeypatch, [Untestable])
         with pytest.raises(Untestable):
             estimate_bias(twostate_instance, BiasedAgent(w=0.5), 0.9, np.random.default_rng(0))
+
+
+@pytest.mark.xfail(strict=True, raises=Numerical, reason="simplex: inequality residual above tolerance")
+def test_three_action_search_near_tau_max():
+    # Query 25 lands 1.8e-8 below tau_max, where the simplex design raises.
+    # The level lies above tau_max, so the right answer is a censored bracket.
+    inst = bl.make_instance(
+        ["t0", "t1", "t2", "t3"],
+        ["a0", "a1", "a2"],
+        [0.25620645832343614, 0.028191517739882037, 0.4628419914906279, 0.252760032446054],
+        [
+            [-2.225907774644324, 5.651481267978751, -0.9810007612967596, 0.46391338895684286],
+            [-14.792353034625938, 13.535117196503341, -11.363564302623661, -7.213264397177953],
+            [18.9223917220664, -7.5779729123218225, 6.387389988593326, -0.786991600878722],
+        ],
+    )
+    iv = estimate_bias(inst, BiasedAgent(w=0.77), 1e-9, np.random.default_rng(0))
+    assert iv.censored and iv.hi == 1.0 and iv.lo <= bl.testable_range(inst) < 0.77

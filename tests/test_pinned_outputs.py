@@ -1,8 +1,14 @@
-"""Estimator outputs pinned bit for bit.
+"""Estimator, design and threshold-test outputs pinned bit for bit.
 
-The values were computed before the threshold-test fast path was written
-and are compared through ``float.hex``, so later speed work cannot change
-an answer silently.  Regenerating them is a deliberate behaviour change.
+The estimator values were computed before the threshold-test fast path was
+written, and the design, LP and threshold-test values before the two-action
+query moved its small-vector steps to Python floats.  All are compared
+through ``float.hex``, so later speed work cannot change an answer
+silently.  Regenerating them is a deliberate behaviour change.
+
+The designs with 16 and 24 states pin dot products that numpy computes
+with blocked kernels, so they hold for the numpy and BLAS build the values
+were computed with (numpy 2.4 with OpenBLAS on x86-64).
 """
 
 import json
@@ -10,8 +16,18 @@ import json
 import numpy as np
 import pytest
 
-from biaslab import BiasedAgent, LinearBias, WarpedLinear, estimate_bias, make_instance
+from biaslab import (
+    BiasedAgent,
+    LinearBias,
+    WarpedLinear,
+    build_lp,
+    estimate_bias,
+    make_instance,
+    threshold_test,
+)
 from biaslab.cli import run_cli
+from biaslab.design import _knapsack_design
+from biaslab.geometry import testable_range as tau_max
 from conftest import random_instance
 
 # instance, bias model, w, epsilon -> lo, hi (float.hex), queries, censored;
@@ -158,3 +174,391 @@ def test_simulate_pinned(tmp_path, args, expected):
     result = json.loads(out)
     got = tuple(None if result[key] is None else result[key].hex() for key in ("mean", "stderr", "theoretical"))
     assert code == 0 and got == expected
+
+
+def _blocks(text: str) -> list:
+    """Split pinned text into (header tokens, value tokens) blocks: a block
+    starts at an unindented line, and indented lines continue its values."""
+    blocks = []
+    for line in text.strip("\n").split("\n"):
+        if line.startswith(" "):
+            blocks[-1][1].extend(line.split())
+        else:
+            blocks.append((line.split(), []))
+    return blocks
+
+
+def _hex(values) -> list:
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+# Per design: states, threshold, p*, default index, then every cond entry in
+# row-major order (float.hex), from the cases of _knapsack_cases in order.
+KNAPSACK = """
+n=2 tau=0x1.98c0a052b2477p-5 p*=0x1.340d3d4c81a9ep-1 default=1
+    0x1.2333efa8ce120p-2 0x1.0000000000000p+0 0x1.6e66082b98f70p-1 0x0.0p+0
+n=2 tau=0x1.3290783e05b59p-3 p*=0x1.264b339093b78p-1 default=1
+    0x1.e38a2111b9fb3p-3 0x1.0000000000000p+0 0x1.871d77bb91813p-1 0x0.0p+0
+n=2 tau=0x1.fef0c8675ed94p-3 p*=0x1.168b9c299831cp-1 default=1
+    0x1.725eae40453d9p-3 0x1.0000000000000p+0 0x1.a368546feeb0ap-1 0x0.0p+0
+n=2 tau=0x1.cbd8b45d08905p-2 p*=0x1.de1d427238a78p-2 default=1
+    0x1.5a69db23b78aap-5 0x1.0000000000000p+0 0x1.ea59624dc4875p-1 0x0.0p+0
+n=2 tau=0x1.fef0a6eb35dcbp-2 p*=0x1.c602f4adfc4e5p-2 default=1
+    0x1.da195a61e69c8p-22 0x1.0000000000000p+0 0x1.fffff12f352cfp-1 0x0.0p+0
+n=3 tau=0x1.31ad18f71ccbdp-4 p*=0x1.959e2b2c8865cp-1 default=1
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.c79db0ca56770p-2 0x0.0p+0
+    0x0.0p+0 0x1.1c31279ad4c48p-1
+n=3 tau=0x1.ca83a572ab31bp-3 p*=0x1.86086cdae1b4ep-1 default=1
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.745915c04dfa8p-2 0x0.0p+0
+    0x0.0p+0 0x1.45d3751fd902cp-1
+n=3 tau=0x1.7e185f34e3fecp-2 p*=0x1.711909e511618p-1 default=1
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.047eae0b3496bp-2 0x0.0p+0
+    0x0.0p+0 0x1.7dc0a8fa65b4ap-1
+n=3 tau=0x1.57e2bc1600655p-1 p*=0x1.0e4dd35187bdep-2 default=1
+    0x1.062ac35033631p-2 0x1.0000000000000p+0 0x0.0p+0 0x1.7cea9e57e64e8p-1
+    0x0.0p+0 0x1.0000000000000p+0
+n=3 tau=0x1.7e18462a65987p-1 p*=0x1.1db1c68dc377ap-3 default=1
+    0x1.d604e754161cep-20 0x1.0000000000000p+0 0x0.0p+0 0x1.ffffc53f63158p-1
+    0x0.0p+0 0x1.0000000000000p+0
+n=8 tau=0x1.6492042d99e13p-4 p*=0x1.bf7bfa5d794f3p-1 default=0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x1.8c63cd5067d50p-3 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.9ce70cabe60acp-1 0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0
+n=8 tau=0x1.0b6d83223368ep-2 p*=0x1.ab2a298bdd28dp-1 default=0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x1.810ab66e83f06p-2 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.3f7aa4c8be07dp-1 0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0
+n=8 tau=0x1.bdb6853900597p-2 p*=0x1.8df3bdc8f4febp-1 default=0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x1.46d4eaf7139d4p-1 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.72562a11d8c57p-2 0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0
+n=8 tau=0x1.912444b34d1d5p-1 p*=0x1.cc87a08cba0a2p-2 default=0
+    0x1.76e3203826de8p-1 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.1239bf8fb2431p-2 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0
+n=8 tau=0x1.bdb668032db7fp-1 p*=0x1.0e2bbe01f2a6fp-3 default=0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.fffb754202c26p-1
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.22af7f4f67e7dp-15
+n=16 tau=0x1.889a08a1a4552p-4 p*=0x1.e6f47dab0e02ep-1 default=1
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.80f4f2487a0f4p-1
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.fc2c36de17c30p-3
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+n=16 tau=0x1.267386793b3fdp-2 p*=0x1.e01d482d0b842p-1 default=1
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.1276d5cf17793p-1
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.db125461d10dap-2
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+n=16 tau=0x1.eac08aca0d6a6p-2 p*=0x1.d4aed79efe6fap-1 default=1
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.6748058da1062p-3
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.a62dfe9c97be8p-1
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+n=16 tau=0x1.b9ad49b5d8dfcp-1 p*=0x1.6fadb53ad3659p-1 default=1
+    0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.1dd469fa83e68p-1 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x1.c4572c0af8330p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0
+n=16 tau=0x1.eac06aa0991e8p-1 p*=0x1.17807426e06f8p-4 default=1
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x1.ea06b734d28cap-12 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.ffc2bf291965bp-1 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0
+n=24 tau=0x1.395905090bf68p-4 p*=0x1.739036ee23eacp-1 default=1
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x0.0p+0 0x1.6da00ebf970bfp-1 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.24bfe280d1e82p-2 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+n=24 tau=0x1.d605878d91f1ap-3 p*=0x1.5424875693bb6p-1 default=1
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.2898c3feca4d7p-1 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x1.aece78026b652p-2 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+n=24 tau=0x1.87af464b4ef41p-2 p*=0x1.2dca06fd09b4ap-1 default=1
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.f5afbebdc6df0p-1
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.4a08284724200p-6
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+n=24 tau=0x1.608425aa2d754p-1 p*=0x1.51f79cd2d326bp-3 default=1
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x1.87cd4826e1776p-1 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.e0cadf647a228p-3 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0
+n=24 tau=0x1.87af2c9fee1f0p-1 p*=0x1.bff591b7fe82ap-7 default=1
+    0x0.0p+0 0x1.3093248314ec0p-14 0x1.0000000000000p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x1.fff67b66dbe76p-1 0x0.0p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+"""
+
+KNAPSACK_FRACTIONS = (0.1, 0.3, 0.5, 0.9, 0.999999)
+
+
+def _knapsack_cases(n_states: int) -> list:
+    """One seeded random two-action instance per state count (the counts
+    drawn in order), at five thresholds below its tau_max."""
+    rng = np.random.default_rng(20261019)
+    for n in (2, 3, 8, 16, 24):
+        inst = random_instance(rng, n_states=n, n_actions=2)
+        while tau_max(inst) <= 0.05:
+            inst = random_instance(rng, n_states=n, n_actions=2)
+        if n == n_states:
+            return [(inst, tau_max(inst) * f) for f in KNAPSACK_FRACTIONS]
+    raise AssertionError(n_states)
+
+
+@pytest.mark.parametrize("n_states", [2, 3, 8, 16, 24])
+def test_knapsack_design_pinned(n_states):
+    pinned = [block for block in _blocks(KNAPSACK) if block[0][0] == f"n={n_states}"]
+    cases = _knapsack_cases(n_states)
+    assert len(pinned) == len(cases) == 5
+    for (inst, tau), (header, cond) in zip(cases, pinned):
+        res = _knapsack_design(inst, tau)
+        got = [f"n={n_states}", f"tau={tau.hex()}", f"p*={res.useful_mass.hex()}", f"default={inst.default_index}"]
+        assert got == header
+        assert _hex(res.scheme.cond) == cond, header
+
+
+# Per LP field: instance, field name, shape, then every entry in row-major
+# order (float.hex); both LPs are built at tau 0.3.
+LPS = """
+3x3 objective 9
+    0x1.492f3192ca0afp-2 0x1.181c6395a9cdcp-3 0x1.15614e5130872p-1 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x1.492f3192ca0afp-2 0x1.181c6395a9cdcp-3
+    0x1.15614e5130872p-1
+3x3 ge 6x9
+    0x1.706643cf8d339p-3 0x1.41b29206ad46bp-3 -0x1.0000000000000p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x1.0000000000000p+0 0x1.058e97dc31e5fp-1 0x1.e75c11a50797bp-4
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 -0x1.706643cf8d339p-3 -0x1.41b29206ad46bp-3 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x1.2b679dd22fa55p-1 0x1.ea3337ed09714p-3
+    0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 -0x1.0000000000000p+0 -0x1.058e97dc31e5fp-1
+    -0x1.e75c11a50797bp-4 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.2b679dd22fa55p-1
+    -0x1.ea3337ed09714p-3 -0x1.0000000000000p+0
+3x3 ge_rhs 6
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0
+3x3 eq 5x9
+    0x1.706643cf8d339p-3 0x1.41b29206ad46bp-3 -0x1.0000000000000p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 -0x1.2b679dd22fa55p-1
+    -0x1.ea3337ed09714p-3 -0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0
+    0x1.0000000000000p+0
+3x3 eq_rhs 5
+    0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0
+8x2 objective 16
+    0x1.5de049f22fa9dp-4 0x1.6840b68b24c78p-5 0x1.4e5dc5ba47c93p-3 0x1.69a0d7ab07397p-5
+    0x1.d17ea76bd59e7p-3 0x1.13050c05805c2p-2 0x1.7e33ed4c84cfbp-5 0x1.ee47edea3bae0p-4
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+8x2 ge 2x16
+    -0x1.e282854925961p-3 -0x1.f9fbf6e85ef36p-4 -0x1.3dda968c61b40p-3 -0x1.3b349b90d431fp-3
+    0x1.c2c3c10782701p-3 -0x1.0000000000000p+0 0x1.ae6e18bc9482ap-5 -0x1.d6820f6cc8e49p-2
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x1.e282854925961p-3 0x1.f9fbf6e85ef36p-4 0x1.3dda968c61b40p-3 0x1.3b349b90d431fp-3
+    -0x1.c2c3c10782701p-3 0x1.0000000000000p+0 -0x1.ae6e18bc9482ap-5 0x1.d6820f6cc8e49p-2
+8x2 ge_rhs 2
+    0x0.0p+0 0x0.0p+0
+8x2 eq 9x16
+    -0x1.e282854925961p-3 -0x1.f9fbf6e85ef36p-4 -0x1.3dda968c61b40p-3 -0x1.3b349b90d431fp-3
+    0x1.c2c3c10782701p-3 -0x1.0000000000000p+0 0x1.ae6e18bc9482ap-5 -0x1.d6820f6cc8e49p-2
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
+8x2 eq_rhs 9
+    0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0
+"""
+
+
+@pytest.mark.parametrize("name", ["3x3", "8x2"])
+def test_build_lp_pinned(name):
+    rng = np.random.default_rng(20261020)
+    instances = {"3x3": random_instance(rng, n_states=3, n_actions=3)}
+    instances["8x2"] = random_instance(rng, n_states=8, n_actions=2)
+    lp = build_lp(instances[name], 0.3)
+    pinned = [block for block in _blocks(LPS) if block[0][0] == name]
+    assert [header[1] for header, _ in pinned] == ["objective", "ge", "ge_rhs", "eq", "eq_rhs"]
+    for (_, field, shape), values in pinned:
+        arr = getattr(lp, field)
+        assert "x".join(map(str, arr.shape)) == shape and _hex(arr) == values, field
+
+
+# instance, level as a multiple of tau, rng seed -> verdict, steps and the
+# signals of the recorded episodes, at tau = tau_max / 2.
+TESTS = """
+symmetric3 0.5 0 leq 1 a1
+symmetric3 0.5 1 leq 1 a2
+symmetric3 0.5 2 leq 1 a1
+symmetric3 0.5 3 leq 1 a1
+symmetric3 0.5 4 leq 1 a2
+symmetric3 0.5 5 leq 1 a2
+symmetric3 0.5 6 leq 1 a1
+symmetric3 0.5 7 leq 1 a2
+symmetric3 0.5 8 leq 1 a2
+symmetric3 0.5 9 leq 1 a1
+symmetric3 1.5 0 geq 1 a1
+symmetric3 1.5 1 geq 1 a2
+symmetric3 1.5 2 geq 1 a1
+symmetric3 1.5 3 geq 1 a1
+symmetric3 1.5 4 geq 1 a2
+symmetric3 1.5 5 geq 1 a2
+symmetric3 1.5 6 geq 1 a1
+symmetric3 1.5 7 geq 1 a2
+symmetric3 1.5 8 geq 1 a2
+symmetric3 1.5 9 geq 1 a1
+random3x3 0.5 0 leq 7 a0,a0,a0,a0,a0,a0,a1
+random3x3 0.5 1 leq 2 a0,a1
+random3x3 0.5 2 leq 9 a0,a0,a0,a0,a0,a0,a0,a0,a1
+random3x3 0.5 3 leq 11 a0,a0,a0,a0,a0,a0,a0,a0,a0,a0,a1
+random3x3 0.5 4 leq 1 a1
+random3x3 0.5 5 leq 5 a0,a0,a0,a0,a1
+random3x3 0.5 6 leq 3 a0,a0,a1
+random3x3 0.5 7 leq 4 a0,a0,a0,a1
+random3x3 0.5 8 leq 3 a0,a0,a1
+random3x3 0.5 9 leq 1 a1
+random3x3 1.5 0 geq 7 a0,a0,a0,a0,a0,a0,a1
+random3x3 1.5 1 geq 2 a0,a1
+random3x3 1.5 2 geq 9 a0,a0,a0,a0,a0,a0,a0,a0,a1
+random3x3 1.5 3 geq 11 a0,a0,a0,a0,a0,a0,a0,a0,a0,a0,a1
+random3x3 1.5 4 geq 1 a1
+random3x3 1.5 5 geq 5 a0,a0,a0,a0,a1
+random3x3 1.5 6 geq 3 a0,a0,a1
+random3x3 1.5 7 geq 4 a0,a0,a0,a1
+random3x3 1.5 8 geq 3 a0,a0,a1
+random3x3 1.5 9 geq 1 a1
+"""
+
+
+@pytest.mark.parametrize("name", ["symmetric3", "random3x3"])
+def test_threshold_test_pinned(name, symmetric3_instance):
+    if name == "symmetric3":
+        inst = symmetric3_instance
+    else:
+        rng = np.random.default_rng(20261021)
+        inst = random_instance(rng, n_states=3, n_actions=3)
+        while tau_max(inst) <= 0.2:
+            inst = random_instance(rng, n_states=3, n_actions=3)
+    tau = 0.5 * tau_max(inst)
+    rows = [row.split() for row in TESTS.strip("\n").split("\n") if row.startswith(name + " ")]
+    assert len(rows) == 20
+    for row in rows:
+        _, level, seed, *expected = row
+        agent = BiasedAgent(w=float(level) * tau)
+        v = threshold_test(inst, tau, agent, np.random.default_rng(int(seed)), record_trace=True)
+        assert [v.verdict, str(v.steps), ",".join(signal for _, signal, _ in v.trace)] == expected, row
