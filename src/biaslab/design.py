@@ -11,7 +11,7 @@ episodes until the agent's response reveals the side of the threshold.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 from typing import Sequence
 
@@ -41,6 +41,9 @@ class LinearProgram:
     ge_rhs: np.ndarray
     eq: np.ndarray
     eq_rhs: np.ndarray
+    # Set by ``build_lp`` on a two-action design LP, the one kind of LP the
+    # simplex solves.
+    _two_action: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -123,13 +126,15 @@ def build_lp(instance: Instance, tau: float) -> LinearProgram:
     for t in range(nS):
         eq[nA - 1 + t, t::nS] = 1.0
 
-    return LinearProgram(
+    lp = LinearProgram(
         objective=objective,
         ge=ge,
         ge_rhs=np.zeros(ge.shape[0]),
         eq=eq,
         eq_rhs=np.concatenate([np.zeros(nA - 1), np.ones(nS)]),
     )
+    object.__setattr__(lp, "_two_action", nA == 2)
+    return lp
 
 
 def _pair_row(mu0: Sequence[float], tau: float, du: Sequence[float], mean_du: float) -> list:
@@ -150,6 +155,56 @@ def _pair_row(mu0: Sequence[float], tau: float, du: Sequence[float], mean_du: fl
     if not scale > 0.0:
         scale = 1.0  # a zero row stays as it is, and x / 1.0 is x
     return [0.0 if abs(y := x / scale) < COEF_SNAP else y for x in row]
+
+
+def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
+    """Maximize the LP; return the optimal value and the variable assignment.
+
+    Every LP goes to HiGHS's dual simplex (Huangfu & Hall 2018) through
+    ``scipy.optimize.linprog``, imported only here, except ``build_lp``'s
+    design LPs for two-action instances.  Those go to a dense two-phase
+    primal simplex, which stalls or breaks on larger LPs but solves these
+    in about 0.5 ms against HiGHS's floor of 2-3 ms, deterministically
+    (Bland's rule picks the lowest eligible index), with answers pinned bit
+    for bit.  It keeps them until the closed form of ``_knapsack_design``
+    takes them over, and two-action runs never load scipy.  Both answers
+    are clipped nonnegative and pass one check: a finite optimum and every
+    row within ``ATOL``.  Raises Infeasible when no point satisfies the
+    constraints and Numerical on breakdown, including an unbounded
+    objective and a non-finite coefficient.
+    """
+    solution = _simplex(lp) if lp._two_action else _highs(lp)
+    return _checked(lp, np.clip(solution, 0.0, None))
+
+
+def _checked(lp: LinearProgram, solution: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(optimum, solution)`` once the optimum is finite and every row
+    holds to ``ATOL``; each test is written so that NaN fails it."""
+    value = float(lp.objective @ solution)
+    if not math.isfinite(value):
+        raise Numerical(f"optimum {value} is not finite")
+    if lp.ge.shape[0] and not np.min(lp.ge @ solution - lp.ge_rhs) >= -ATOL:
+        raise Numerical("inequality residual above tolerance")
+    if lp.eq.shape[0] and not np.max(np.abs(lp.eq @ solution - lp.eq_rhs)) <= ATOL:
+        raise Numerical("equality residual above tolerance")
+    return value, solution
+
+
+def _highs(lp: LinearProgram) -> np.ndarray:
+    """Solve the LP with HiGHS; Infeasible on HiGHS status 2, Numerical
+    with HiGHS's message on any other failure."""
+    if not all(np.isfinite(a).all() for a in (lp.objective, lp.ge, lp.ge_rhs, lp.eq, lp.eq_rhs)):
+        # HiGHS takes no NaN or inf.  The check at the origin names the
+        # optimum or the first row family they break.
+        _checked(lp, np.zeros(lp.n_vars))
+        raise Numerical("LP coefficients are not finite")
+    from scipy.optimize import linprog
+
+    # linprog minimizes, over x >= 0 unless told otherwise.
+    res = linprog(-lp.objective, A_ub=-lp.ge, b_ub=-lp.ge_rhs, A_eq=lp.eq, b_eq=lp.eq_rhs, method="highs-ds")
+    if res.status != 0:
+        raise (Infeasible if res.status == 2 else Numerical)(res.message)
+    return res.x
 
 
 def _pivot(T: np.ndarray, row: int, col: int) -> None:
@@ -184,34 +239,23 @@ def _iterate(T: np.ndarray, basis: list, n_enter: int) -> None:
     raise Numerical("pivot limit exceeded")
 
 
-def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
-    """Maximize the LP with a dense two-phase primal simplex.
+def _simplex(lp: LinearProgram) -> np.ndarray:
+    """Solve a two-action design LP with a dense two-phase primal simplex.
 
-    Deterministic: Bland's rule picks the lowest eligible index, so
-    identical inputs give identical basic solutions.  Returns the optimal
-    value and the variable assignment; raises Infeasible when no point
-    satisfies the constraints and Numerical on breakdown, including a
-    non-finite coefficient that reaches the solution or the optimum.
+    Its right-hand sides are 0 or 1, so the artificial basis of phase 1 is
+    feasible as it stands, and it has at least five rows: two pair rows,
+    the indifference row and one distribution row per state.
     """
     n = lp.n_vars
     m_ge = lp.ge.shape[0]
-    m_eq = lp.eq.shape[0]
-    m = m_ge + m_eq
-    if m == 0:
-        if np.any(lp.objective > PIVOT_TOL):
-            raise Numerical("objective is unbounded")
-        return _finite_optimum(lp, np.zeros(n))
+    m = m_ge + lp.eq.shape[0]
 
     ncols = n + m_ge  # structural + surplus
     A = np.zeros((m, ncols))
     A[:m_ge, :n] = lp.ge
-    if m_ge:
-        A[:m_ge, n:ncols] = -np.eye(m_ge)
+    A[:m_ge, n:ncols] = -np.eye(m_ge)
     A[m_ge:, :n] = lp.eq
-    b = np.concatenate([lp.ge_rhs, lp.eq_rhs]).astype(float)
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
+    b = np.concatenate([lp.ge_rhs, lp.eq_rhs])
 
     # Phase 1: minimize the sum of one artificial variable per row.
     T = np.zeros((m + 1, ncols + m + 1))
@@ -250,21 +294,7 @@ def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
     for i, bi in enumerate(basis):
         if bi < ncols:
             x[bi] = T[i, -1]
-    solution = np.clip(x[:n], 0.0, None)
-
-    # Written so that a NaN residual or optimum fails the test.
-    if m_ge and not np.min(lp.ge @ solution - lp.ge_rhs) >= -ATOL:
-        raise Numerical("inequality residual above tolerance")
-    if m_eq and not np.max(np.abs(lp.eq @ solution - lp.eq_rhs)) <= ATOL:
-        raise Numerical("equality residual above tolerance")
-    return _finite_optimum(lp, solution)
-
-
-def _finite_optimum(lp: LinearProgram, solution: np.ndarray) -> tuple[float, np.ndarray]:
-    value = float(lp.objective @ solution)
-    if not math.isfinite(value):
-        raise Numerical(f"optimum {value} is not finite")
-    return value, solution
+    return x[:n]
 
 
 def design_scheme(instance: Instance, tau: float) -> DesignResult:

@@ -15,7 +15,7 @@ import numpy as np
 from .agent import BiasedAgent, agent_act, episode_sampler
 from .core import ZERO_MASS, Instance, SignalingScheme, _bisect
 from .design import _knapsack_design, design_scheme
-from .errors import DegenerateParameters, NothingTestable, ShapeMismatch, Timeout, Untestable
+from .errors import DegenerateParameters, NothingTestable, ShapeMismatch, Timeout
 from .geometry import testable_range
 
 # Default step budget: the exact horizon for residual failure probability
@@ -270,15 +270,11 @@ def estimate_bias(
     with two actions, the design row's utility difference) were built once
     when it was validated.  When every answer says "at or above" the level
     may lie beyond the testable range, so the interval is censored to
-    [lo, 1].  If the requested width already covers the whole searchable
-    range, a single query at tau_max settles which side applies.  Raises
-    NothingTestable when no threshold is testable at all.
-
-    With three or more actions a threshold just below tau_max can be
-    untestable.  If such a query follows only "at or above" answers, the
-    search stops with the censored bracket [lo, 1] from those answers, and
-    ``queries`` counts the untestable query too; after an "at or below"
-    answer, Untestable propagates.
+    [lo, 1]; the bracket is censored only then.  If the requested width
+    already covers the whole searchable range, a single query at tau_max
+    settles which side applies.  Raises NothingTestable when no threshold
+    is testable at all; an Untestable query propagates like any other
+    error.
 
     The agent treats expected utilities within ``ATOL`` as tied and then
     keeps the default action, so thresholds slightly above the level also
@@ -292,21 +288,10 @@ def estimate_bias(
     if tau_max <= ZERO_MASS:
         raise NothingTestable("default action dominates everywhere")
 
-    answers = []  # (tau, answered "at or above") per answered query
-
     def at_or_above(tau: float) -> bool:
-        answers.append((tau, threshold_test(instance, tau, agent, rng, max_steps_per_test).verdict == Verdict.GEQ))
-        return answers[-1][1]
+        return threshold_test(instance, tau, agent, rng, max_steps_per_test).verdict == Verdict.GEQ
 
-    try:
-        lo, hi, queries = _bisect(at_or_above, 0.0, tau_max, epsilon)
-    except Untestable:
-        # The LP may find no useful mass at a threshold just below tau_max.
-        # If every answer so far was "at or above", the level lies at or
-        # above the last of them, and the bracket is censored there.
-        if not all(up for _, up in answers):
-            raise
-        return BiasInterval(lo=answers[-1][0] if answers else 0.0, hi=1.0, queries=len(answers) + 1, censored=True)
+    lo, hi, queries = _bisect(at_or_above, 0.0, tau_max, epsilon)
     if queries == 0:
         if at_or_above(tau_max):
             return BiasInterval(lo=tau_max, hi=1.0, queries=1, censored=True)

@@ -18,6 +18,7 @@ from biaslab import (
     splitting_check,
     verify_design,
 )
+from biaslab import geometry
 from biaslab.cli import run_cli
 from biaslab.core import SignalingScheme
 from biaslab.design import COEF_SNAP, _knapsack_design, _pair_row
@@ -32,7 +33,7 @@ from biaslab.errors import (
 from conftest import random_instance, two_state_family
 
 
-def scipy_optimum(lp: LinearProgram) -> float:
+def scipy_optimum(lp: LinearProgram, method: str = "highs") -> float:
     """Independent reference value for a maximization LP."""
     res = linprog(
         -lp.objective,
@@ -41,7 +42,7 @@ def scipy_optimum(lp: LinearProgram) -> float:
         A_eq=lp.eq if lp.eq.size else None,
         b_eq=lp.eq_rhs if lp.eq.size else None,
         bounds=(0, None),
-        method="highs",
+        method=method,
     )
     assert res.status == 0, f"reference solver status {res.status}"
     return -res.fun
@@ -509,3 +510,57 @@ class TestKnownLpDefects:
         assert res.useful_mass == pytest.approx(_knapsack_design(inst, self.TAU).useful_mass, abs=1e-9)
         assert res.useful_mass == pytest.approx(scipy_optimum(build_lp(inst, self.TAU)), abs=1e-9)
         verify_design(inst, self.TAU, res)
+
+
+class TestKnownBeyondRangeDefect:
+    """A two-action threshold 1e-6 (relative) above tau_max, where no scheme
+    has useful mass: the closed form says Untestable, while the simplex
+    leaves an equality residual above tolerance, so ``design``, ``classify``
+    and ``sweep`` exit 1 instead of 3.  The test states the right answer
+    and is a strict expected failure while the simplex raises there."""
+
+    RAW = {
+        "states": ["t0", "t1", "t2"],
+        "actions": ["a0", "a1"],
+        "prior": [0.03596434511121972, 0.38348164539130586, 0.5805540094974744],
+        "utility": [
+            [0.22904630705071757, -0.8387992173515699, 0.09688255792329578],
+            [-0.2672370372899985, 1.4038291578515893, 0.5568982661709865],
+        ],
+    }
+    TAU = 0.30911373576509316  # tau_max is 0.3091134266516665
+
+    @pytest.mark.xfail(strict=True, raises=Numerical, reason="simplex: equality residual above tolerance")
+    def test_untestable_just_above_tau_max(self):
+        inst = make_instance(**self.RAW)
+        assert geometry.testable_range(inst) < self.TAU
+        with pytest.raises(Untestable):
+            _knapsack_design(inst, self.TAU)
+        with pytest.raises(Untestable):
+            design_scheme(inst, self.TAU)
+        assert classify(inst, self.TAU).verdict.value == "untestable"
+
+
+class TestSquareGrid:
+    """Design LPs of random n x n instances, on which the hand-rolled simplex
+    raised Numerical or hit its pivot limit from 8 x 8 up.  One instance per
+    size, over the 99-tau grid and three thresholds just below tau_max: 510
+    cells.  The reference is HiGHS's interior-point method, independent of
+    the dual simplex that ``solve_lp`` uses at these sizes."""
+
+    @pytest.mark.parametrize("n", [6, 8, 10, 14, 20])
+    def test_every_cell_designs_or_is_untestable(self, n):
+        inst = random_instance(np.random.default_rng([11, n]), n_states=n, n_actions=n)
+        tau_max = geometry.testable_range(inst)
+        taus = [k / 100 for k in range(1, 100)] + [tau_max * (1.0 - e) for e in (1e-6, 1e-9, 1e-12)]
+        for tau in taus:
+            reference = scipy_optimum(build_lp(inst, tau), method="highs-ipm")
+            untestable = classify(inst, tau).verdict.value == "untestable"
+            try:
+                res = design_scheme(inst, tau)
+            except Untestable:
+                assert untestable and tau >= tau_max and reference <= 1e-8, tau
+                continue
+            assert not untestable, tau
+            assert res.useful_mass == pytest.approx(min(reference, 1.0), abs=1e-8), tau
+            verify_design(inst, tau, res)
