@@ -178,6 +178,12 @@ class Instance:
     # difference, both as tuples of floats, and that difference's prior
     # mean, the instance's part of every design row; else None.
     _pair_gap: tuple | None = field(init=False, repr=False)
+    # Per non-default action, in action order: the largest threshold at
+    # which its shifted indifference hyperplane still meets the simplex.
+    # Their maximum is the testable range, the one rule every testability
+    # question reads.
+    _thresholds: tuple = field(init=False, repr=False)
+    _tau_max: float = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "utility", _frozen(self.utility))
@@ -194,6 +200,13 @@ class Instance:
             du = -self.gaps[0]
             pair = (tuple(self.prior.probs.tolist()), tuple(du.tolist()), float(self.prior.probs @ du))
         object.__setattr__(self, "_pair_gap", pair)
+        # Per gap row, the reach below zero over the value at the prior,
+        # mapped from odds to a threshold.  Odds that overflow to inf map to
+        # the threshold's limit 1, where the mapping would give NaN.
+        ratios = [max(0.0, -float(gap.min())) / float(gap @ self.prior.probs) for gap in self.gaps]
+        thresholds = tuple(1.0 if ratio == np.inf else ratio / (1.0 + ratio) for ratio in ratios)
+        object.__setattr__(self, "_thresholds", thresholds)
+        object.__setattr__(self, "_tau_max", max(0.0, *thresholds))
 
     @property
     def n_states(self) -> int:

@@ -300,15 +300,26 @@ def _simplex(lp: LinearProgram) -> np.ndarray:
 def design_scheme(instance: Instance, tau: float) -> DesignResult:
     """Best direct scheme for testing which side of ``tau`` the bias is on.
 
-    p* is the LP optimum, the same value ``classify`` reports.  Raises
-    Untestable when no scheme can put positive mass on useful signals (the
-    indifference rows admit only the all-default solution); a solver
+    The closed form decides testability: a threshold above
+    ``testable_range`` raises Untestable without building an LP.  At or
+    below it, p* is the LP optimum, the same value ``classify`` reports;
+    an optimum of at most ``ATOL`` also raises Untestable, and a solver
     failure propagates as its own error (Infeasible or Numerical).
     """
+    _check_testable(instance, tau)
     value, x = solve_lp(build_lp(instance, tau))
     # solve_lp's solution is clipped nonnegative and holds every distribution
     # row to ATOL: a scheme by construction.
     return _design_result(instance, tau, value, x.reshape(instance.n_actions, instance.n_states))
+
+
+def _check_testable(instance: Instance, tau: float) -> None:
+    """Raise OutOfRangeThreshold for ``tau`` outside (0, 1), and Untestable
+    above the instance's closed-form testable range (``testable_range``),
+    which is itself testable."""
+    _check_threshold(tau)
+    if tau > instance._tau_max:
+        raise Untestable(tau)
 
 
 def _design_result(instance: Instance, tau: float, value: float, cond: np.ndarray) -> DesignResult:
@@ -338,15 +349,16 @@ def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
     ascending order of cost per unit of prior mass, |row_t| / mu0_t, so at
     most one state ends fractional.  The (d over a) row holds by itself,
     since row sums to the scaled mu0 @ (u_a - u_d) < 0.  Raises what
-    ``design_scheme`` raises: Untestable when p* <= ATOL and Numerical when
-    a residual check of ``solve_lp`` fails.
+    ``design_scheme`` raises: Untestable above ``testable_range``, checked
+    first, or when p* <= ATOL, and Numerical when a residual check of
+    ``solve_lp`` fails.
 
     The row, the fill and the residual tests run on Python floats, which
     round each elementwise step as numpy does.  The two sums that reach
     the design, the budget and p*, stay numpy dot products: numpy sums 16
     or more terms in blocks, in an order plain Python does not repeat.
     """
-    _check_threshold(tau)
+    _check_testable(instance, tau)
     a = 1 - instance.default_index
     mu0, du, mean_du = instance._pair_gap
     row = _pair_row(mu0, tau, du, mean_du)  # the (a over d) row

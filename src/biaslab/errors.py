@@ -58,7 +58,7 @@ class DefaultActionGap(BiasLabError):
 
 
 class InconsistentClassification(BiasLabError):
-    """Geometric emptiness test and LP useful mass disagree beyond tolerance."""
+    """The design LP finds no useful mass at a threshold the closed form calls testable."""
 
 
 class DegenerateParameters(BiasLabError):

@@ -51,24 +51,26 @@ class Classification:
         }
 
 
-def gap_vector(instance: Instance, action) -> GapVector:
+def _gap_row(instance: Instance, action) -> int:
+    """Row of ``instance.gaps`` and ``instance._thresholds`` for ``action``."""
     if action == instance.default_action:
         raise DefaultActionGap("the default action has no gap vector")
     a = instance.action_index(action)
-    coeffs = instance.gaps[a - (a > instance.default_index)]  # gaps skips the default
+    return a - (a > instance.default_index)  # both skip the default
+
+
+def gap_vector(instance: Instance, action) -> GapVector:
+    coeffs = instance.gaps[_gap_row(instance, action)]
     # Assumption: the default wins strictly at the prior.
     assert float(coeffs @ instance.prior.probs) > ATOL
     return GapVector(action=action, coeffs=coeffs)
 
 
-def _offset(gap: np.ndarray, mu0: np.ndarray, tau: float) -> float:
-    return -tau / (1.0 - tau) * float(gap @ mu0)
-
-
 def indifference_offset(instance: Instance, action, tau: float) -> float:
     """Right-hand side of the shifted indifference hyperplane; always <= 0."""
     _check_threshold(tau)
-    return _offset(gap_vector(instance, action).coeffs, instance.prior.probs, tau)
+    gap = gap_vector(instance, action).coeffs
+    return -tau / (1.0 - tau) * float(gap @ instance.prior.probs)
 
 
 def translated_set_nonempty(instance: Instance, action, tau: float) -> bool:
@@ -76,60 +78,48 @@ def translated_set_nonempty(instance: Instance, action, tau: float) -> bool:
 
     The hyperplane value over the simplex ranges over [min coeff, max coeff],
     and the offset is nonpositive while the value at the prior is positive,
-    so the test reduces to the minimum coefficient reaching the offset.
+    so the set is nonempty exactly for thresholds up to the action's own
+    closed-form threshold, that threshold included (see ``testable_range``).
     """
     _check_threshold(tau)
-    gap = gap_vector(instance, action).coeffs
-    return float(gap.min()) <= _offset(gap, instance.prior.probs, tau) + ATOL
+    return tau <= instance._thresholds[_gap_row(instance, action)]
 
 
 def testable_range(instance: Instance) -> float:
-    """Largest threshold that remains testable on this instance.
+    """Largest testable threshold; every threshold up to it, itself
+    included, is testable, and every threshold above it is not.
 
     Per gap row, the reach below zero over the value at the prior, mapped
-    from odds to a threshold.  Zero when the default action weakly
-    dominates everywhere: beliefs then never leave the default region and
-    actions carry no information.
+    from odds to a threshold; the range is the largest of these, computed
+    once when the instance is validated.  Zero when the default action
+    weakly dominates everywhere: beliefs then never leave the default
+    region and actions carry no information.
     """
-    mu0 = instance.prior.probs
-    ratios = [max(0.0, -float(gap.min())) / float(gap @ mu0) for gap in instance.gaps]
-    return max(0.0, *(ratio / (1.0 + ratio) for ratio in ratios))
+    return instance._tau_max
 
 
 def classify(instance: Instance, tau: float) -> Classification:
     """Three-way classification of the threshold question at ``tau``.
 
-    Single sample when the design LP reaches useful mass 1, finite when the
-    mass is positive, untestable when it is zero.  p* is the LP optimum
-    capped at 1, bit for bit the value ``design_scheme`` reports; a solver
-    failure propagates as its own error.  The geometric emptiness
-    test (the offset of each shifted hyperplane minus its gap's minimum
-    coefficient, nonnegative when the translated set is nonempty) must
-    agree with the LP outcome; a disagreement beyond the shared tolerance
-    can only come from a solver defect and raises
-    InconsistentClassification.
+    The closed form decides testability: a threshold above
+    ``testable_range`` is untestable, answered without building an LP,
+    and one at or below it is testable.  The design LP gives only p*:
+    single sample when it reaches 1, finite otherwise.  p* is the LP
+    optimum capped at 1, bit for bit the value ``design_scheme`` reports; a
+    solver failure propagates as its own error.  ``nonempty_actions`` are
+    the actions whose translated set is nonempty at ``tau``.  An LP with no
+    useful mass at a testable threshold can only come from a solver defect
+    and raises InconsistentClassification.
     """
-    value, _ = solve_lp(build_lp(instance, tau))
-
+    _check_threshold(tau)
     tau_max = testable_range(instance)
-    actions = [a for a in instance.actions if a != instance.default_action]
-    margins = {
-        action: _offset(gap, instance.prior.probs, tau) - float(gap.min())
-        for action, gap in zip(actions, instance.gaps)
-    }
-    nonempty = tuple(a for a, m in margins.items() if m >= -ATOL)
-
-    if value <= ATOL:
-        strictly_nonempty = [a for a, m in margins.items() if m > ATOL]
-        if strictly_nonempty:
-            raise InconsistentClassification(
-                f"no useful mass but nonempty translated sets: {strictly_nonempty}"
-            )
+    if tau > tau_max:
         return Classification(Testability.UNTESTABLE, None, (), tau_max)
 
-    if not nonempty:
-        raise InconsistentClassification(
-            f"useful mass {value:.3g} but every translated set is empty"
-        )
+    value, _ = solve_lp(build_lp(instance, tau))
+    actions = [a for a in instance.actions if a != instance.default_action]
+    nonempty = tuple(a for a, tau_a in zip(actions, instance._thresholds) if tau <= tau_a)
+    if value <= ATOL:
+        raise InconsistentClassification(f"no useful mass but nonempty translated sets: {list(nonempty)}")
     verdict = Testability.SINGLE_SAMPLE if value >= 1.0 - ATOL else Testability.FINITE
     return Classification(verdict, min(value, 1.0), nonempty, tau_max)

@@ -512,12 +512,36 @@ class TestKnownLpDefects:
         verify_design(inst, self.TAU, res)
 
 
+class TestKnownHighsDefect:
+    """A three-action instance 1e-8 (relative) below tau_max, where the
+    a2 indifference row has two entries of 8.1e-10.  HiGHS drops matrix
+    entries below 1e-9, returns p* 0.25 with an equality residual of
+    1.6e-9, and ``solve_lp``'s ATOL check raises ``Numerical``.  The test
+    states the right answer and is a strict expected failure while HiGHS
+    solves these rows."""
+
+    RAW = {
+        "states": ["t0", "t1", "t2", "t3"],
+        "actions": ["a0", "a1", "a2"],
+        "prior": [0.125, 0.625, 0.125, 0.125],
+        "utility": [[0, 0, 0, 0], [0, 1, 0, 0], [0, -5, 2, 2]],
+    }
+
+    @pytest.mark.xfail(strict=True, raises=Numerical, reason="HiGHS drops entries below 1e-9")
+    def test_design_just_below_tau_max(self):
+        inst = make_instance(**self.RAW)
+        tau = geometry.testable_range(inst) * (1.0 - 1e-8)
+        res = design_scheme(inst, tau)
+        assert res.useful_mass == pytest.approx(0.25, abs=1e-6)
+        verify_design(inst, tau, res)
+
+
 class TestKnownBeyondRangeDefect:
     """A two-action threshold 1e-6 (relative) above tau_max, where no scheme
-    has useful mass: the closed form says Untestable, while the simplex
-    leaves an equality residual above tolerance, so ``design``, ``classify``
-    and ``sweep`` exit 1 instead of 3.  The test states the right answer
-    and is a strict expected failure while the simplex raises there."""
+    has useful mass.  The simplex leaves an equality residual above
+    tolerance there, so the closed-form testable range must answer
+    Untestable before any LP is built, and ``design``, ``classify`` and
+    ``sweep`` exit 3."""
 
     RAW = {
         "states": ["t0", "t1", "t2"],
@@ -530,7 +554,6 @@ class TestKnownBeyondRangeDefect:
     }
     TAU = 0.30911373576509316  # tau_max is 0.3091134266516665
 
-    @pytest.mark.xfail(strict=True, raises=Numerical, reason="simplex: equality residual above tolerance")
     def test_untestable_just_above_tau_max(self):
         inst = make_instance(**self.RAW)
         assert geometry.testable_range(inst) < self.TAU

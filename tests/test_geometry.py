@@ -1,7 +1,14 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import biaslab as bl
+import biaslab.design
+import biaslab.geometry
 from biaslab import (
     classify,
     design_scheme,
@@ -9,7 +16,16 @@ from biaslab import (
     indifference_offset,
     make_instance,
 )
-from biaslab.errors import DefaultActionGap, InconsistentClassification, OutOfRangeThreshold, Untestable
+from biaslab.cli import run_cli
+from biaslab.design import _knapsack_design
+from biaslab.errors import (
+    DefaultActionGap,
+    InconsistentClassification,
+    NoUniqueDefault,
+    Numerical,
+    OutOfRangeThreshold,
+    Untestable,
+)
 from conftest import random_instance
 
 
@@ -84,6 +100,20 @@ class TestTestableRange:
         )
         assert bl.testable_range(inst) == 0.0
 
+    def test_odds_overflow(self):
+        # The reach 1e300 over the prior value 2e-9 overflows to inf odds,
+        # whose threshold is 1, not NaN: every threshold is testable.
+        inst = make_instance(
+            states=["x", "y", "z"],
+            actions=["safe", "risky"],
+            prior=[0.25, 0.25, 0.5],
+            utility=[[0.0, 0.0, 0.0], [1e300, -1e300, -4e-9]],
+        )
+        assert bl.testable_range(inst) == 1.0
+        assert bl.translated_set_nonempty(inst, "risky", 0.99)
+        c = classify(inst, 0.5)
+        assert c.verdict is bl.Testability.SINGLE_SAMPLE and c.nonempty_actions == ("risky",)
+
 
 class TestClassify:
     def test_single_sample(self, symmetric3_instance):
@@ -105,11 +135,11 @@ class TestClassify:
 
     @pytest.mark.parametrize(
         "tau, value, match",
-        [(0.5, 0.0, "no useful mass but nonempty"), (0.8, 0.5, "every translated set is empty")],
-        ids=["zero-mass-nonempty", "mass-all-empty"],
+        [(0.5, 0.0, "no useful mass but nonempty")],
+        ids=["zero-mass-nonempty"],
     )
     def test_solver_disagreement_raises(self, twostate_instance, monkeypatch, tau, value, match):
-        # A stand-in solver contradicts the geometry: tau_max is 0.625 here.
+        # A stand-in solver contradicts the closed form: tau_max is 0.625 here.
         monkeypatch.setattr("biaslab.geometry.solve_lp", lambda lp: (value, np.zeros(lp.n_vars)))
         with pytest.raises(InconsistentClassification, match=match):
             classify(twostate_instance, tau)
@@ -175,3 +205,210 @@ class TestClassify:
             "tau_max": pytest.approx(0.625, abs=1e-12),
             "nonempty_actions": ["Active"],
         }
+
+
+# Three actions, tau 1e-8 (relative) above tau_max 0.07094521126938107:
+# the LP found the useful mass 0.0389 there while every translated set was
+# empty, so classify raised InconsistentClassification (CLI exit 1).
+THREE_ACTION = {
+    "states": ["t0", "t1"],
+    "actions": ["a0", "a1", "a2"],
+    "prior": [0.038902744708005525, 0.9610972552919945],
+    "utility": [
+        [-3.1606049304563366, 4.884341584539774],
+        [-17.440529115689333, 2.144217700575384],
+        [-3.8990804863182706, 14.976296061496326],
+    ],
+}
+THREE_ACTION_TAU = 0.07094521197883318
+
+
+class TestClosedFormDecides:
+    """The closed-form testable range decides testability, tau_max itself
+    included; the LP is asked only for p* at or below it."""
+
+    def test_three_action_just_above_tau_max(self, tmp_path):
+        inst = make_instance(**THREE_ACTION)
+        assert bl.testable_range(inst) < THREE_ACTION_TAU
+        c = classify(inst, THREE_ACTION_TAU)
+        assert c.verdict is bl.Testability.UNTESTABLE and c.nonempty_actions == ()
+        with pytest.raises(Untestable):
+            design_scheme(inst, THREE_ACTION_TAU)
+        path = tmp_path / "three-action.json"
+        path.write_text(json.dumps(THREE_ACTION), encoding="utf-8")
+        code, out = run_cli(["classify", "--instance", str(path), "--tau", repr(THREE_ACTION_TAU)])
+        assert code == 3 and json.loads(out)["verdict"] == "untestable"
+
+    def test_three_action_at_tau_max(self):
+        inst = make_instance(**THREE_ACTION)
+        tau_max = bl.testable_range(inst)
+        c = classify(inst, tau_max)
+        assert c.verdict is bl.Testability.FINITE and c.nonempty_actions == ("a0",)
+        assert c.useful_mass == pytest.approx(0.038902744708005525, abs=1e-12)
+        assert design_scheme(inst, tau_max).useful_mass == c.useful_mass
+
+    def test_canonical_tau_max_is_inclusive(self, twostate_instance):
+        assert bl.testable_range(twostate_instance) == 0.625
+        c = classify(twostate_instance, 0.625)
+        assert c.verdict is bl.Testability.FINITE
+        assert c.useful_mass == pytest.approx(0.2, abs=1e-12)
+        assert design_scheme(twostate_instance, 0.625).useful_mass == c.useful_mass
+        assert _knapsack_design(twostate_instance, 0.625).useful_mass == pytest.approx(0.2, abs=1e-12)
+        assert bl.translated_set_nonempty(twostate_instance, "Active", 0.625)
+
+    def test_canonical_one_double_above(self, twostate_instance):
+        tau = math.nextafter(0.625, 1.0)
+        assert classify(twostate_instance, tau).verdict is bl.Testability.UNTESTABLE
+        with pytest.raises(Untestable):
+            design_scheme(twostate_instance, tau)
+        with pytest.raises(Untestable):
+            _knapsack_design(twostate_instance, tau)
+        assert not bl.translated_set_nonempty(twostate_instance, "Active", tau)
+
+    def test_no_lp_above_tau_max(self, twostate_instance, monkeypatch, tmp_path):
+        builds = []
+        build_lp = biaslab.design.build_lp
+
+        def counting_build_lp(instance, tau):
+            builds.append(tau)
+            return build_lp(instance, tau)
+
+        for module in (biaslab.geometry, biaslab.design):
+            monkeypatch.setattr(module, "build_lp", counting_build_lp)
+        three = make_instance(**THREE_ACTION)
+        for inst, tau in ((twostate_instance, 0.8), (three, THREE_ACTION_TAU)):
+            assert classify(inst, tau).verdict is bl.Testability.UNTESTABLE
+            with pytest.raises(Untestable):
+                design_scheme(inst, tau)
+        path = tmp_path / "twostate.json"
+        path.write_text(json.dumps(twostate_instance.to_json_dict()), encoding="utf-8")
+        code, out = run_cli(["sweep", "--instance", str(path), "--tau-grid", "0.63,0.7,0.99"])
+        assert code == 0 and out.count(",untestable") == 3
+        assert builds == []
+        # The counter does see the cells at or below tau_max.
+        classify(twostate_instance, 0.625)
+        design_scheme(twostate_instance, 0.5)
+        assert builds == [0.625, 0.5]
+
+    def test_bad_threshold_checked_first(self, twostate_instance):
+        for tau in (0.0, 1.0, 1.5, math.nan):
+            for call in (classify, design_scheme, _knapsack_design):
+                with pytest.raises(OutOfRangeThreshold):
+                    call(twostate_instance, tau)
+
+
+TAU_GRID = [k / 100 for k in range(1, 100)]
+
+
+def _twin(raw, utility=None, states=None, actions=None):
+    """``raw`` with new utilities, or with states and actions permuted."""
+    u = np.asarray(raw["utility"] if utility is None else utility, dtype=float)
+    ps = range(len(raw["states"])) if states is None else states
+    pa = range(len(raw["actions"])) if actions is None else actions
+    return {
+        "states": [raw["states"][i] for i in ps],
+        "actions": [raw["actions"][i] for i in pa],
+        "prior": [raw["prior"][i] for i in ps],
+        "utility": u[np.ix_(list(pa), list(ps))].tolist(),
+    }
+
+
+def _answer(inst, tau):
+    """(verdict, p*) of classify, checked against design_scheme; None when
+    the LP solve fails for both (a solver defect, only ever at or below
+    tau_max, where an LP is built)."""
+    try:
+        c = classify(inst, tau)
+    except Numerical:
+        assert tau <= bl.testable_range(inst)
+        with pytest.raises(Numerical):
+            design_scheme(inst, tau)
+        return None
+    if c.verdict is bl.Testability.UNTESTABLE:
+        with pytest.raises(Untestable):
+            design_scheme(inst, tau)
+        return c.verdict, None
+    assert design_scheme(inst, tau).useful_mass == c.useful_mass
+    return c.verdict, c.useful_mass
+
+
+class TestInvarianceProperty:
+    """Verdicts and p* hold under every transformation that changes no best
+    response: scaling utilities by 10^k, the per-state affine maps
+    u[a, t] -> alpha * u[a, t] + beta[t], and permutations of states and of
+    actions.  Thresholds cover the 99-point grid and tau_max * (1 +- 10^-k)
+    for k from 6 to 12.
+
+    Utilities are integers in [-5, 5] and prior weights integers in [1, 5],
+    so an instance's margins are at least 1/30 of its utility spread.  A
+    twin's tau_max then differs from the original's only by the rounding of
+    its inputs, under 5e-13 relative; an ill-conditioned instance, whose
+    tau_max moves further with that rounding, has no common answer within
+    that band.  Nor does a grid threshold within 5e-13 of tau_max, which
+    happens when tau_max is a round number: the rounding of each twin's
+    inputs puts it on one side or the other.  Every answer still has
+    classify and design_scheme agree.  Twins that no longer have a unique
+    default action (NoUniqueDefault) are skipped and counted, and so are
+    thresholds where the LP raises Numerical (see
+    ``test_design.TestKnownHighsDefect``)."""
+
+    def test_verdict_and_p_star_invariant(self):
+        seen = {"twins": 0, "skipped": 0, "cells": 0, "numerical": 0}
+
+        @settings(max_examples=80, deadline=None)
+        @given(data=st.data(), n_states=st.integers(2, 6), n_actions=st.integers(2, 4))
+        def check(data, n_states, n_actions):
+            weights = data.draw(st.lists(st.integers(1, 5), min_size=n_states, max_size=n_states))
+            cells = st.lists(st.integers(-5, 5), min_size=n_states, max_size=n_states)
+            utility = data.draw(st.lists(cells, min_size=n_actions, max_size=n_actions))
+            raw = {
+                "states": [f"t{i}" for i in range(n_states)],
+                "actions": [f"a{i}" for i in range(n_actions)],
+                "prior": [w / sum(weights) for w in weights],
+                "utility": utility,
+            }
+            try:
+                inst = make_instance(**raw)
+            except NoUniqueDefault:
+                assume(False)
+            tau_max = bl.testable_range(inst)
+            taus = data.draw(st.lists(st.sampled_from(TAU_GRID), min_size=1, max_size=3))
+            if 0.0 < tau_max < 0.99:
+                for sign in (-1.0, 1.0):
+                    taus.append(tau_max * (1.0 + sign * 10.0 ** -data.draw(st.integers(6, 12))))
+
+            u = np.asarray(utility, dtype=float)
+            alpha = data.draw(st.floats(0.5, 2.0))
+            beta = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n_states, max_size=n_states)))
+            twins = [
+                _twin(raw, utility=10.0 ** data.draw(st.integers(-6, 9)) * u),
+                _twin(raw, utility=alpha * u + beta),
+                _twin(raw, states=data.draw(st.permutations(range(n_states))),
+                      actions=data.draw(st.permutations(range(n_actions)))),
+            ]
+            expected = {tau: _answer(inst, tau) for tau in taus}
+            for twin_raw in twins:
+                seen["twins"] += 1
+                try:
+                    twin = make_instance(**twin_raw)
+                except NoUniqueDefault:
+                    seen["skipped"] += 1
+                    continue
+                for tau in taus:
+                    seen["cells"] += 1
+                    answer = _answer(twin, tau)
+                    if answer is None or expected[tau] is None:
+                        seen["numerical"] += 1
+                        continue
+                    if abs(tau - tau_max) <= 5e-13 * tau_max:
+                        continue
+                    assert answer[0] is expected[tau][0], (tau, twin_raw)
+                    if answer[1] is not None:
+                        assert answer[1] == pytest.approx(expected[tau][1], abs=1e-9), (tau, twin_raw)
+
+        check()
+        print(
+            f"invariance: {seen['skipped']} of {seen['twins']} twins skipped (NoUniqueDefault); "
+            f"{seen['numerical']} of {seen['cells']} twin cells unchecked (Numerical)"
+        )
+        assert seen["skipped"] < seen["twins"] and seen["numerical"] < seen["cells"]
