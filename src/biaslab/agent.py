@@ -21,6 +21,7 @@ from .core import (
     TieBreak,
     _check_level,
     _check_states,
+    _fsum,
     bayes_posterior,
     best_response,
 )
@@ -60,12 +61,12 @@ def preference_sign(
     _check_level(w)
     _check_states(instance, scheme.n_states, "scheme")
     s = scheme.signal_index(signal)
-    mu0 = instance.prior.probs
-    if float(scheme.cond[s] @ mu0) <= ZERO_MASS:
+    mu0, rows = instance._prior, instance._rows
+    if _fsum(scheme._rows[s], mu0) <= ZERO_MASS:
         raise ZeroProbabilitySignal(f"signal {signal!r} is never sent")
-    du = instance.utility[instance.action_index(a1)] - instance.utility[instance.action_index(a2)]
-    mean_du = float(mu0 @ du)
-    expr = float(np.dot(scheme.cond[s] * mu0, (1.0 - w) * du + w * mean_du))
+    du = [x - y for x, y in zip(rows[instance.action_index(a1)], rows[instance.action_index(a2)])]
+    keep, shift = 1.0 - w, w * _fsum(mu0, du)
+    expr = _fsum([c * m for c, m in zip(scheme._rows[s], mu0)], [keep * x + shift for x in du])
     if abs(expr) <= ATOL:
         return 0
     return 1 if expr > 0 else -1
@@ -84,13 +85,14 @@ def episode_sampler(instance: Instance, scheme: SignalingScheme):
     scheme pay for them once.  Raises ShapeMismatch if the scheme does not
     cover the instance's states.
 
-    Each signal table is a running sum of Python floats down one column,
-    the same additions in the same order as numpy's ``cumsum`` along the
-    signals, so the tables, and every draw, are bit for bit numpy's.
+    Each signal table is a running sum of Python floats down one column of
+    the scheme's float rows, the same additions in the same order as
+    numpy's ``cumsum`` along the signals.
     """
     _check_states(instance, scheme.n_states, "scheme")
     state_cdf = instance._state_cdf
-    signal_cdfs = [list(accumulate(column)) for column in scheme.cond.T.tolist()]
+    columns = list(zip(*scheme._rows))
+    signal_cdfs = [list(accumulate(column)) for column in columns]
     last_state = instance.n_states - 1
     n_signals = scheme.n_signals
 
@@ -99,7 +101,7 @@ def episode_sampler(instance: Instance, scheme: SignalingScheme):
         signal_cdf = signal_cdfs[t]
         s = bisect_right(signal_cdf, rng.random() * signal_cdf[-1])
         if s >= n_signals:  # guard against cumulative rounding
-            s = int(np.max(np.flatnonzero(scheme.cond[:, t] > 0.0)))
+            s = max(k for k, p in enumerate(columns[t]) if p > 0.0)
         return t, s
 
     return draw

@@ -14,7 +14,16 @@ from typing import Mapping, Protocol, runtime_checkable
 import numpy as np
 
 from .core import (
-    ATOL, Belief, Instance, SignalingScheme, _bisect, _check_threshold, biased_belief, scheme_from_posteriors, vertex_belief
+    ATOL,
+    Belief,
+    Instance,
+    SignalingScheme,
+    _bisect,
+    _check_threshold,
+    _fsum,
+    biased_belief,
+    scheme_from_posteriors,
+    vertex_belief,
 )
 from .errors import NotSingleCrossing, Untestable
 
@@ -71,10 +80,16 @@ def bias_function_from_config(config: Mapping) -> BiasFunction:
     raise ValueError(f"unknown bias model {model!r}")
 
 
+def _gap_values(instance: Instance, belief: Belief) -> list:
+    """gap . belief for each non-default action, in action order."""
+    probs = belief.probs.tolist()
+    return [_fsum(gap, probs) for gap in instance._gap_rows]
+
+
 def _min_gap(instance: Instance, belief: Belief) -> float:
     """min over non-default actions of gap . belief; positive inside the
     default region, zero on its boundary, negative outside."""
-    return float((instance.gaps @ belief.probs).min())
+    return min(_gap_values(instance, belief))
 
 
 def _level_path(phi: BiasFunction, instance: Instance, posterior: Belief) -> list:
@@ -200,9 +215,8 @@ def generalized_membership(phi: BiasFunction, instance: Instance, mu: Belief, ac
     _check_threshold(tau)
     row = instance.action_index(action)
     row -= row > instance.default_index  # the gap rows skip the default action
-    biased = phi.evaluate(instance.prior, mu, tau).probs
-    gaps = instance.gaps
-    return bool(abs(float(gaps[row] @ biased)) <= ATOL and (gaps @ biased).min() >= -ATOL)
+    values = _gap_values(instance, phi.evaluate(instance.prior, mu, tau))
+    return abs(values[row]) <= ATOL and min(values) >= -ATOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,8 +270,8 @@ def construct_finite_scheme(phi: BiasFunction, instance: Instance, tau: float) -
             raise NotSingleCrossing("bisection did not land on the boundary")
 
         boundary = Belief(t_hat * vertex.probs + (1.0 - t_hat) * prior.probs)
-        margins = instance.gaps @ phi.evaluate(prior, boundary, tau).probs
-        crossing_action = non_default[int(np.argmin(margins))]
+        margins = _gap_values(instance, phi.evaluate(prior, boundary, tau))
+        crossing_action = non_default[margins.index(min(margins))]
         mass = float(prior.probs[t_idx]) / float(boundary.probs[t_idx])
         if best is None or mass > best[0]:
             best = (mass, t_idx, t_hat, boundary, crossing_action)

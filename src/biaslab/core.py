@@ -11,9 +11,12 @@ from validated ones are valid by construction and skip the checks.
 """
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
+from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -43,21 +46,45 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_probabilities(arr: np.ndarray, what: str, error: type, axis=None) -> None:
-    """Check that ``arr`` holds probabilities summing to one along ``axis``.
+def _fsum(a, b=None) -> float:
+    """The sum of ``a``'s entries, or with ``b`` of the products
+    ``a[i] * b[i]``, correctly rounded.
+
+    ``math.fsum`` (Shewchuk 1997) sums exactly and rounds once, so no
+    summation order, and so no library, BLAS kernel or CPU, can change a
+    bit.  Every sum that reaches an output or a verdict goes through here.
+    Where no double holds the exact sum (inf - inf, or past the largest
+    double) it falls back to the left-to-right sum, NaN or inf as IEEE
+    arithmetic gives.  ``a`` and ``b`` are sequences of floats.
+    """
+    try:
+        return math.fsum(a if b is None else map(mul, a, b))
+    except (OverflowError, ValueError):
+        return sum(a if b is None else map(mul, a, b))
+
+
+def _check_probabilities(arr: np.ndarray, what: str, error: type, axis=None) -> list:
+    """Check that ``arr`` holds probabilities summing to one along ``axis``
+    (None for a vector, 0 for the columns of a matrix).
 
     Every entry must be finite and at least ``-ATOL``, and every sum within
-    ``ATOL`` of one; tolerated negative noise is clipped to zero in place.
+    ``ATOL`` of one.  Returns the entries as Python floats, the vector or
+    the list of columns, with tolerated negative noise clipped to zero.
     Raises ``error`` naming ``what`` otherwise.
     """
-    if not np.isfinite(arr).all():
+    vectors = [arr.tolist()] if axis is None else arr.T.tolist()
+    entries = [x for vector in vectors for x in vector]
+    if not all(map(math.isfinite, entries)):
         raise error(f"{what} has a non-finite entry")
-    if (arr < -ATOL).any():
-        raise error(f"{what} has a negative entry {arr.min()}")
-    np.clip(arr, 0.0, None, out=arr)
-    sums = arr.sum(axis=axis)
-    if np.abs(sums - 1.0).max() > ATOL:
-        raise error(f"{what} must sum to 1, got {sums}")
+    low = min(entries, default=0.0)
+    if low < -ATOL:
+        raise error(f"{what} has a negative entry {low}")
+    if low < 0.0:
+        vectors = [[max(x, 0.0) for x in vector] for vector in vectors]
+    sums = [_fsum(vector) for vector in vectors]
+    if not sums or max(abs(total - 1.0) for total in sums) > ATOL:
+        raise error(f"{what} must sum to 1, got {sums[0] if axis is None else np.array(sums)}")
+    return vectors[0] if axis is None else vectors
 
 
 def _check_threshold(tau: float) -> None:
@@ -112,7 +139,7 @@ class Belief:
         arr = np.array(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ShapeMismatch("belief must be a nonempty 1-D vector")
-        _check_probabilities(arr, "belief", ValueError)
+        arr = np.array(_check_probabilities(arr, "belief", ValueError))
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -172,11 +199,16 @@ class Instance:
     # Default-minus-action utility gaps, one row per non-default action in
     # action order; each row is positive at the prior.  Derived, read-only.
     gaps: np.ndarray = field(init=False, repr=False)
+    # The prior, the utility rows and the gap rows as tuples of Python
+    # floats, the operands of every small-vector step.  Derived, immutable.
+    _prior: tuple = field(init=False, repr=False)
+    _rows: tuple = field(init=False, repr=False)
+    _gap_rows: tuple = field(init=False, repr=False)
     # Cumulative prior over states, the inverse-CDF table of every episode.
     _state_cdf: tuple = field(init=False, repr=False)
     # Two actions only: the prior, the (non-default over default) utility
-    # difference, both as tuples of floats, and that difference's prior
-    # mean, the instance's part of every design row; else None.
+    # difference and that difference's prior mean, the instance's part of
+    # every design row; else None.
     _pair_gap: tuple | None = field(init=False, repr=False)
     # Per non-default action, in action order: the largest threshold at
     # which its shifted indifference hyperplane still meets the simplex.
@@ -187,24 +219,26 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "utility", _frozen(self.utility))
-        u, d = self.utility, self.default_index
-        # Built row by row into C order: ``utility`` is column-major, and dot
-        # products over strided rows round differently from contiguous ones.
-        gaps = [u[d] - u[a] for a in range(self.n_actions) if a != d]
-        object.__setattr__(self, "gaps", _frozen(gaps))
-        object.__setattr__(self, "_state_cdf", tuple(np.cumsum(self.prior.probs).tolist()))
-        # Negating ``gaps[0]`` is exact, so the entries equal ``u[a] - u[d]``
-        # and the mean its dot product with the prior, bit for bit.
+        prior = tuple(self.prior.probs.tolist())
+        rows = tuple(map(tuple, self.utility.tolist()))
+        d = self.default_index
+        gap_rows = tuple(tuple(x - y for x, y in zip(rows[d], row)) for a, row in enumerate(rows) if a != d)
+        object.__setattr__(self, "_prior", prior)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_gap_rows", gap_rows)
+        object.__setattr__(self, "gaps", _frozen(gap_rows))
+        # The same additions in the same order as numpy's cumsum.
+        object.__setattr__(self, "_state_cdf", tuple(accumulate(prior)))
         pair = None
         if self.n_actions == 2:
-            du = -self.gaps[0]
-            pair = (tuple(self.prior.probs.tolist()), tuple(du.tolist()), float(self.prior.probs @ du))
+            du = tuple(-x for x in gap_rows[0])  # exactly u[a] - u[d]
+            pair = (prior, du, _fsum(prior, du))
         object.__setattr__(self, "_pair_gap", pair)
         # Per gap row, the reach below zero over the value at the prior,
         # mapped from odds to a threshold.  Odds that overflow to inf map to
         # the threshold's limit 1, where the mapping would give NaN.
-        ratios = [max(0.0, -float(gap.min())) / float(gap @ self.prior.probs) for gap in self.gaps]
-        thresholds = tuple(1.0 if ratio == np.inf else ratio / (1.0 + ratio) for ratio in ratios)
+        ratios = [max(0.0, -min(gap)) / _fsum(gap, prior) for gap in gap_rows]
+        thresholds = tuple(1.0 if ratio == math.inf else ratio / (1.0 + ratio) for ratio in ratios)
         object.__setattr__(self, "_thresholds", thresholds)
         object.__setattr__(self, "_tau_max", max(0.0, *thresholds))
 
@@ -228,7 +262,8 @@ class Instance:
 
     def expected_utilities(self, belief: Belief) -> np.ndarray:
         """Expected utility of each action under the given belief."""
-        return self.utility @ belief.probs
+        probs = belief.probs.tolist()
+        return np.array([_fsum(row, probs) for row in self._rows])
 
     def to_json_dict(self) -> dict:
         return {
@@ -249,6 +284,9 @@ class SignalingScheme:
 
     signals: tuple
     cond: np.ndarray
+    # ``cond``'s rows as tuples of Python floats, which the episode draw
+    # and the Bayes update read.  Derived, immutable.
+    _rows: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         cond = np.array(self.cond, dtype=float)
@@ -257,19 +295,25 @@ class SignalingScheme:
             raise ShapeMismatch("cond must have one row per signal")
         if len(set(signals)) != len(signals):
             raise ShapeMismatch("signal labels must be unique")
-        _check_probabilities(cond, "per-state signal distribution", ValueError, axis=0)
+        columns = _check_probabilities(cond, "per-state signal distribution", ValueError, axis=0)
+        rows = tuple(zip(*columns))
+        cond = np.array(rows)
         cond.setflags(write=False)
         object.__setattr__(self, "signals", signals)
         object.__setattr__(self, "cond", cond)
+        object.__setattr__(self, "_rows", rows)
 
     @classmethod
-    def _trusted(cls, signals: tuple, cond: np.ndarray) -> "SignalingScheme":
+    def _trusted(cls, signals: tuple, cond: np.ndarray, rows: tuple | None = None) -> "SignalingScheme":
         """Wrap unique labels and a float matrix that is a scheme by
-        construction: no copy, no checks.  ``cond`` becomes read-only."""
+        construction: no copy, no checks.  ``cond`` becomes read-only.
+        ``rows``, when the caller built ``cond`` from them, are its rows as
+        tuples of floats; otherwise they are read off ``cond``."""
         cond.setflags(write=False)
         scheme = object.__new__(cls)
         object.__setattr__(scheme, "signals", signals)
         object.__setattr__(scheme, "cond", cond)
+        object.__setattr__(scheme, "_rows", tuple(map(tuple, cond.tolist())) if rows is None else rows)
         return scheme
 
     @property
@@ -285,7 +329,8 @@ class SignalingScheme:
 
     def signal_probs(self, prior: Belief) -> np.ndarray:
         """Unconditional probability of each signal under the prior."""
-        return self.cond @ prior.probs
+        probs = prior.probs.tolist()
+        return np.array([_fsum(row, probs) for row in self._rows])
 
     def to_json_dict(self) -> dict:
         return {
@@ -328,7 +373,11 @@ def validate_instance(raw: Mapping) -> Instance:
         states = tuple(str(s) for s in raw["states"])
         actions = tuple(str(a) for a in raw["actions"])
         prior_raw, utility = (np.asarray(raw[key], dtype=object) for key in ("prior", "utility"))
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (*prior_raw.flat, *utility.flat)):
+        # Exact floats and ints pass without the slower abstract-class test.
+        if not all(
+            type(v) in (float, int) or isinstance(v, numbers.Real) and not isinstance(v, bool)
+            for v in (*prior_raw.flat, *utility.flat)
+        ):
             raise TypeError("prior and utility entries must be real numbers")
         prior_raw, utility = prior_raw.astype(float), utility.astype(float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -344,28 +393,28 @@ def validate_instance(raw: Mapping) -> Instance:
         raise ShapeMismatch(
             f"utility must be {len(actions)}x{len(states)}, got {utility.shape}"
         )
-    if not np.all(np.isfinite(utility)):
+    rows = utility.tolist()
+    if not all(math.isfinite(u) for row in rows for u in row):
         raise ShapeMismatch("utility entries must be finite")
     # Every gap and design row subtracts two actions' utilities in a state.
-    with np.errstate(over="ignore"):
-        spread = utility.max(axis=0) - utility.min(axis=0)
-    if not np.all(np.isfinite(spread)):
+    if not all(math.isfinite(max(column) - min(column)) for column in zip(*rows)):
         raise ShapeMismatch("utility differences between actions must be finite")
 
-    _check_probabilities(prior_raw, "prior", NonSimplexPrior)
+    prior_raw = _check_probabilities(prior_raw, "prior", NonSimplexPrior)
 
-    support = prior_raw > ZERO_MASS
-    if support.sum() < 2:
+    support = [p > ZERO_MASS for p in prior_raw]
+    if sum(support) < 2:
         raise ShapeMismatch("need at least two states with positive prior mass")
     states = tuple(s for s, keep in zip(states, support) if keep)
-    prior_vec = prior_raw[support]
-    utility = utility[:, support]
+    prior_vec = [p for p, keep in zip(prior_raw, support) if keep]
+    rows = [[u for u, keep in zip(row, support) if keep] for row in rows]
 
     # Positive entries over their total: a belief by construction.
-    prior = Belief._trusted(prior_vec / prior_vec.sum())
-    eu = utility @ prior.probs
-    order = np.argsort(-eu, kind="stable")
-    margin = float(eu[order[0]] - eu[order[1]])
+    total = _fsum(prior_vec)
+    probs = [p / total for p in prior_vec]
+    eu = [_fsum(row, probs) for row in rows]
+    order = sorted(range(len(actions)), key=lambda a: -eu[a])  # stable
+    margin = eu[order[0]] - eu[order[1]]
     if margin <= ATOL:
         raise NoUniqueDefault(
             f"top actions tie at the prior (margin {margin:.3g} <= {ATOL})"
@@ -373,9 +422,9 @@ def validate_instance(raw: Mapping) -> Instance:
     return Instance(
         states=states,
         actions=actions,
-        prior=prior,
-        utility=utility,
-        default_action=actions[int(order[0])],
+        prior=Belief._trusted(np.array(probs)),
+        utility=np.array(rows),
+        default_action=actions[order[0]],
         prior_margin=margin,
     )
 
@@ -407,12 +456,12 @@ def bayes_posterior(instance: Instance, scheme: SignalingScheme, signal) -> Beli
     """
     _check_states(instance, scheme.n_states, "scheme")
     s = scheme.signal_index(signal)
-    joint = instance.prior.probs * scheme.cond[s]
-    total = joint.sum()
+    joint = list(map(mul, instance._prior, scheme._rows[s]))
+    total = _fsum(joint)
     if total <= ZERO_MASS:
         raise ZeroProbabilitySignal(f"signal {signal!r} has probability {total}")
     # Nonnegative entries over their positive total: a belief by construction.
-    return Belief._trusted(joint / total)
+    return Belief._trusted(np.array([p / total for p in joint]))
 
 
 def biased_belief(prior: Belief, posterior: Belief, w: float) -> Belief:
@@ -420,8 +469,9 @@ def biased_belief(prior: Belief, posterior: Belief, w: float) -> Belief:
     _check_level(w)
     if prior.probs.shape != posterior.probs.shape:
         raise ShapeMismatch("prior and posterior have different dimensions")
+    keep = 1.0 - w
     # A convex mix of two beliefs of one dimension is a belief.
-    return Belief._trusted(w * prior.probs + (1.0 - w) * posterior.probs)
+    return Belief._trusted(np.array([w * p + keep * q for p, q in zip(prior.probs.tolist(), posterior.probs.tolist())]))
 
 
 class BestResponse(NamedTuple):
@@ -439,12 +489,13 @@ def best_response(
     the maximum; the tie-break rule then picks the winner deterministically.
     Raises ShapeMismatch if the belief does not cover the instance's states.
 
-    The expected utilities are one numpy product; the maximum and the ties
-    are read from them as Python floats, which compare and subtract exactly
-    as numpy's scalars do, so the answer is bit for bit the numpy one.
+    Each expected utility is one correctly rounded sum of Python floats,
+    so the answer does not depend on the order in which a library would
+    add the terms.
     """
     _check_states(instance, belief.dim, "belief")
-    eu = instance.expected_utilities(belief).tolist()
+    probs = belief.probs.tolist()
+    eu = [_fsum(row, probs) for row in instance._rows]
     floor = max(eu) - ATOL
     tied = [a for a, value in enumerate(eu) if value >= floor]
     tie = len(tied) > 1
@@ -468,13 +519,11 @@ def splitting_check(instance: Instance, scheme: SignalingScheme) -> float:
     Signals that are never sent are skipped.
     """
     _check_states(instance, scheme.n_states, "scheme")
-    probs = scheme.signal_probs(instance.prior)
-    recon = np.zeros(instance.n_states)
-    for s, p in enumerate(probs):
-        if p <= ZERO_MASS:
-            continue
-        recon += p * bayes_posterior(instance, scheme, scheme.signals[s]).probs
-    return float(np.max(np.abs(recon - instance.prior.probs)))
+    sent = [(p, s) for s, p in enumerate(scheme.signal_probs(instance.prior).tolist()) if p > ZERO_MASS]
+    weights = [p for p, _ in sent]
+    posteriors = [bayes_posterior(instance, scheme, scheme.signals[s]).probs.tolist() for _, s in sent]
+    recon = [_fsum(weights, [post[t] for post in posteriors]) for t in range(instance.n_states)]
+    return max(abs(r - m) for r, m in zip(recon, instance._prior))
 
 
 def scheme_from_posteriors(
@@ -494,22 +543,22 @@ def scheme_from_posteriors(
     w = np.array(weights, dtype=float)
     if w.ndim != 1 or len(posteriors) != w.size:
         raise ShapeMismatch("need one weight per posterior")
-    _check_probabilities(w, "weight vector", InconsistentSplit)
+    w = _check_probabilities(w, "weight vector", InconsistentSplit)
 
     post = np.vstack([b.probs for b in posteriors])
     if post.shape[1] != instance.n_states:
         raise ShapeMismatch("posterior dimension does not match the instance")
-    recon = w @ post
-    residual = float(np.max(np.abs(recon - instance.prior.probs)))
+    columns = post.T.tolist()
+    residual = max(abs(_fsum(w, column) - m) for column, m in zip(columns, instance._prior))
     if residual > ATOL:
         raise InconsistentSplit(
             f"weighted posteriors miss the prior by {residual:.3g}"
         )
 
     if signals is None:
-        signals = tuple(f"s{i}" for i in range(w.size))
+        signals = tuple(f"s{i}" for i in range(len(w)))
     # Positive prior everywhere (zero-mass states were collapsed), so the
     # division is safe.  Renormalize columns to absorb the split residual.
-    cond = (w[:, None] * post) / instance.prior.probs[None, :]
-    cond /= cond.sum(axis=0, keepdims=True)
-    return SignalingScheme(signals=tuple(signals), cond=cond)
+    columns = [[x * y / m for x, y in zip(w, column)] for column, m in zip(columns, instance._prior)]
+    columns = [[x / total for x in column] for column, total in zip(columns, map(_fsum, columns))]
+    return SignalingScheme(signals=tuple(signals), cond=np.array(columns).T)

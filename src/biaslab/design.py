@@ -12,12 +12,11 @@ episodes until the agent's response reveals the side of the threshold.
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from .core import ATOL, Instance, SignalingScheme, _check_threshold, bayes_posterior, biased_belief
+from .core import ATOL, Instance, SignalingScheme, _check_threshold, _fsum, bayes_posterior, biased_belief
 from .errors import Infeasible, Numerical, Untestable, VerificationFailed
 
 PIVOT_TOL = 1e-10
@@ -107,22 +106,21 @@ def build_lp(instance: Instance, tau: float) -> LinearProgram:
     nA, nS = instance.n_actions, instance.n_states
     n = nA * nS
     d = instance.default_index
-    mu0 = instance.prior.probs
-    prior = mu0.tolist()
+    prior, rows = instance._prior, instance._rows
 
     objective = np.zeros(n)
     ge = np.zeros((nA * (nA - 1), n))
     eq = np.zeros((nA - 1 + nS, n))
     for k, (a, other) in enumerate(itertools.permutations(range(nA), 2)):
         block = slice(a * nS, (a + 1) * nS)
-        du = instance.utility[a] - instance.utility[other]
-        ge[k, block] = _pair_row(prior, tau, du.tolist(), float(mu0 @ du))
+        du = [x - y for x, y in zip(rows[a], rows[other])]
+        ge[k, block] = _pair_row(prior, tau, du, _fsum(prior, du))
         if other == d:
             # Indifference with the default is this row held at zero (the
             # indifference rows skip the default action), and every
             # non-default recommendation counts toward the objective.
             eq[a - (a > d)] = ge[k]
-            objective[block] = mu0
+            objective[block] = prior
     for t in range(nS):
         eq[nA - 1 + t, t::nS] = 1.0
 
@@ -145,9 +143,9 @@ def _pair_row(mu0: Sequence[float], tau: float, du: Sequence[float], mean_du: fl
     every utility scale (a pair with equal utilities keeps its zero row),
     and snapped to zero below ``COEF_SNAP``.  The row is a list of Python
     floats: each entry takes the same IEEE operations in the same order as
-    the elementwise numpy form ``mu0 * ((1 - tau) * du + tau * mean_du)``,
-    so it is bit for bit the row numpy would build.  The one reduction,
-    the dot product ``mean_du``, is the caller's and stays in numpy.
+    the elementwise numpy form ``mu0 * ((1 - tau) * du + tau * mean_du)``.
+    The one sum, ``mean_du``, is the caller's, correctly rounded by
+    ``core._fsum``, so the row does not depend on a summation order.
     """
     keep, shift = 1.0 - tau, tau * mean_du
     row = [m * (keep * x + shift) for m, x in zip(mu0, du)]
@@ -179,8 +177,10 @@ def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
 
 def _checked(lp: LinearProgram, solution: np.ndarray) -> tuple[float, np.ndarray]:
     """``(optimum, solution)`` once the optimum is finite and every row
-    holds to ``ATOL``; each test is written so that NaN fails it."""
-    value = float(lp.objective @ solution)
+    holds to ``ATOL``; each test is written so that NaN fails it.  The
+    optimum is a correctly rounded sum; the residuals, compared with
+    ``ATOL`` only, stay numpy products."""
+    value = _fsum(lp.objective.tolist(), solution.tolist())
     if not math.isfinite(value):
         raise Numerical(f"optimum {value} is not finite")
     if lp.ge.shape[0] and not np.min(lp.ge @ solution - lp.ge_rhs) >= -ATOL:
@@ -322,16 +322,17 @@ def _check_testable(instance: Instance, tau: float) -> None:
         raise Untestable(tau)
 
 
-def _design_result(instance: Instance, tau: float, value: float, cond: np.ndarray) -> DesignResult:
+def _design_result(instance: Instance, tau: float, value: float, cond: np.ndarray, rows=None) -> DesignResult:
     """Wrap an optimum and its conditionals, one row per action, which must
-    form a scheme by construction.  p* is ``value`` trimmed of rounding
-    excess above 1; raises Untestable when p* <= ATOL."""
+    form a scheme by construction (``rows``: the same as tuples of floats,
+    when the caller has them).  p* is ``value`` trimmed of rounding excess
+    above 1; raises Untestable when p* <= ATOL."""
     useful_mass = min(value, 1.0)
     if useful_mass <= ATOL:
         raise Untestable(tau)
     # The instance's action labels are unique, so the scheme needs no checks.
     return DesignResult(
-        scheme=SignalingScheme._trusted(instance.actions, cond),
+        scheme=SignalingScheme._trusted(instance.actions, cond, rows),
         useful_mass=useful_mass,
         sample_complexity=1.0 / useful_mass,
         threshold=tau,
@@ -353,10 +354,8 @@ def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
     first, or when p* <= ATOL, and Numerical when a residual check of
     ``solve_lp`` fails.
 
-    The row, the fill and the residual tests run on Python floats, which
-    round each elementwise step as numpy does.  The two sums that reach
-    the design, the budget and p*, stay numpy dot products: numpy sums 16
-    or more terms in blocks, in an order plain Python does not repeat.
+    Every step runs on Python floats, and the sums (the budget, the
+    residual tests and p*) are correctly rounded by ``core._fsum``.
     """
     _check_testable(instance, tau)
     a = 1 - instance.default_index
@@ -364,7 +363,7 @@ def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
     row = _pair_row(mu0, tau, du, mean_du)  # the (a over d) row
 
     pi = [1.0 if r >= 0.0 else 0.0 for r in row]
-    budget = float(np.dot(row, pi))
+    budget = _fsum(row, pi)
     # The negative states, ordered (stably) by cost per unit of prior mass.
     for t in sorted((t for t, r in enumerate(row) if r < 0.0), key=lambda t: -row[t] / mu0[t]):
         cost = -row[t]
@@ -375,16 +374,15 @@ def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
         budget -= cost
 
     # solve_lp's residual tests on the indifference row and the (d over a)
-    # row, written so that NaN fails them.  Their sums are compared with
-    # ATOL only, far above where the order of rounding matters.
+    # row, written so that NaN fails them.
     rest = [1.0 - p for p in pi]
-    if not abs(sum(map(mul, row, pi))) <= ATOL:
+    if not abs(_fsum(row, pi)) <= ATOL:
         raise Numerical("equality residual above tolerance")
-    if not -sum(map(mul, row, rest)) >= -ATOL:
+    if not -_fsum(row, rest) >= -ATOL:
         raise Numerical("inequality residual above tolerance")
-    cond = np.array((pi, rest) if a == 0 else (rest, pi))
+    rows = (tuple(pi), tuple(rest)) if a == 0 else (tuple(rest), tuple(pi))
     # Both rows lie in [0, 1] and sum to one per state: a scheme by construction.
-    return _design_result(instance, tau, float(instance.prior.probs @ cond[a]), cond)
+    return _design_result(instance, tau, _fsum(mu0, pi), np.array(rows), rows)
 
 
 # Signals lighter than this are skipped by the biased-belief indifference

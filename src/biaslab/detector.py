@@ -111,15 +111,15 @@ def _first_horizon(log_miss: float, log_delta: float) -> int:
     return t
 
 
-def _threshold_tests(instance, scheme, is_useful, agent, rng, max_steps, trials, trace=None) -> list:
+def _threshold_tests(instance, scheme, is_useful, agent, rng, max_steps, trials, record_trace=False) -> list:
     """Run ``trials`` successive threshold tests on one scheme; return the
-    ``(verdict, steps)`` pair of each.
+    ``ThresholdVerdict`` of each.
 
     ``is_useful`` flags the useful signals by index.  The callers have
     checked their inputs, so nothing is checked again here.  The sampler is
     built once, and the agent's response to a signal, fixed for one scheme
-    and agent, is computed when an episode first needs it.  When ``trace``
-    is a list, every episode is appended to it.
+    and agent, is computed when an episode first needs it.  With
+    ``record_trace`` each verdict keeps its episodes.
     """
     signals = scheme.signals
     draw = episode_sampler(instance, scheme)
@@ -132,6 +132,7 @@ def _threshold_tests(instance, scheme, is_useful, agent, rng, max_steps, trials,
 
     results = []
     for _ in range(trials):
+        trace = [] if record_trace else None
         for step in range(1, max_steps + 1):
             t, s = draw(rng)
             if trace is not None:
@@ -140,15 +141,9 @@ def _threshold_tests(instance, scheme, is_useful, agent, rng, max_steps, trials,
                 break
         else:
             raise Timeout(max_steps)
-        results.append((Verdict.GEQ if respond(s) == instance.default_action else Verdict.LEQ, step))
+        verdict = Verdict.GEQ if respond(s) == instance.default_action else Verdict.LEQ
+        results.append(ThresholdVerdict(verdict=verdict, steps=step, trace=None if trace is None else tuple(trace)))
     return results
-
-
-def _single_test(instance, scheme, is_useful, agent, rng, max_steps, record_trace) -> ThresholdVerdict:
-    """One threshold test on checked inputs."""
-    trace = [] if record_trace else None
-    [(verdict, steps)] = _threshold_tests(instance, scheme, is_useful, agent, rng, max_steps, 1, trace)
-    return ThresholdVerdict(verdict=verdict, steps=steps, trace=None if trace is None else tuple(trace))
 
 
 def threshold_test_on_scheme(
@@ -179,7 +174,7 @@ def threshold_test_on_scheme(
     if unknown:
         raise ShapeMismatch(f"unknown signal {', '.join(sorted(map(repr, unknown)))}")
     is_useful = [s in useful for s in scheme.signals]
-    return _single_test(instance, scheme, is_useful, agent, rng, max_steps, record_trace)
+    return _threshold_tests(instance, scheme, is_useful, agent, rng, max_steps, 1, record_trace)[0]
 
 
 def _test_plan(instance: Instance, tau: float, max_steps: int | None) -> tuple:
@@ -220,7 +215,7 @@ def threshold_test(
     cannot be tested at all.
     """
     design, is_useful, max_steps = _test_plan(instance, tau, max_steps)
-    return _single_test(instance, design.scheme, is_useful, agent, rng, max_steps, record_trace)
+    return _threshold_tests(instance, design.scheme, is_useful, agent, rng, max_steps, 1, record_trace)[0]
 
 
 def empirical_sample_complexity(
@@ -247,7 +242,7 @@ def _sample_complexity(instance, tau, agent, rng, trials) -> tuple[ComplexityEst
         raise DegenerateParameters(f"trials={trials}")
     design, is_useful, max_steps = _test_plan(instance, tau, None)
     tests = _threshold_tests(instance, design.scheme, is_useful, agent, rng, max_steps, trials)
-    steps = np.array([steps for _, steps in tests], dtype=float)
+    steps = np.array([test.steps for test in tests], dtype=float)
     mean = float(steps.mean())
     stderr = float(steps.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None
     return ComplexityEstimate(mean=mean, stderr=stderr), design.sample_complexity

@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import ATOL, Instance, _check_threshold, _frozen
+from .core import ATOL, Instance, _check_threshold, _frozen, _fsum
 from .design import build_lp, solve_lp
 from .errors import DefaultActionGap, InconsistentClassification
 
@@ -62,15 +62,15 @@ def _gap_row(instance: Instance, action) -> int:
 def gap_vector(instance: Instance, action) -> GapVector:
     coeffs = instance.gaps[_gap_row(instance, action)]
     # Assumption: the default wins strictly at the prior.
-    assert float(coeffs @ instance.prior.probs) > ATOL
+    assert _fsum(coeffs.tolist(), instance._prior) > ATOL
     return GapVector(action=action, coeffs=coeffs)
 
 
 def indifference_offset(instance: Instance, action, tau: float) -> float:
     """Right-hand side of the shifted indifference hyperplane; always <= 0."""
     _check_threshold(tau)
-    gap = gap_vector(instance, action).coeffs
-    return -tau / (1.0 - tau) * float(gap @ instance.prior.probs)
+    gap = gap_vector(instance, action).coeffs.tolist()
+    return -tau / (1.0 - tau) * _fsum(gap, instance._prior)
 
 
 def translated_set_nonempty(instance: Instance, action, tau: float) -> bool:

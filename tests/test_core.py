@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ class TestInstanceGaps:
             assert isinstance(prior, tuple) and isinstance(gap, tuple)  # immutable
             assert [x.hex() for x in prior] == [x.hex() for x in mu0.tolist()]
             assert [x.hex() for x in gap] == [x.hex() for x in du.tolist()]
-            assert mean.hex() == float(mu0 @ du).hex()
+            assert mean.hex() == math.fsum(mu0 * du).hex()
             assert inst._state_cdf == tuple(np.cumsum(mu0).tolist())
         assert symmetric3_instance._pair_gap is None
 
@@ -297,8 +298,9 @@ class TestBestResponse:
 
     @staticmethod
     def _numpy_reference(instance, belief, tiebreak):
-        """The rule on numpy arrays and scalars throughout."""
-        eu = instance.utility @ belief.probs
+        """The rule on numpy arrays and scalars throughout, with each
+        expected utility the correctly rounded sum of its products."""
+        eu = np.array([math.fsum(row * belief.probs) for row in instance.utility])
         tied = (eu >= float(eu.max()) - ATOL).nonzero()[0]
         pick = int(tied[0])
         if tied.size > 1:

@@ -2,13 +2,11 @@
 
 The estimator values were computed before the threshold-test fast path was
 written, and the design, LP and threshold-test values before the two-action
-query moved its small-vector steps to Python floats.  All are compared
-through ``float.hex``, so later speed work cannot change an answer
-silently.  Regenerating them is a deliberate behaviour change.
-
-The designs with 16 and 24 states pin dot products that numpy computes
-with blocked kernels, so they hold for the numpy and BLAS build the values
-were computed with (numpy 2.4 with OpenBLAS on x86-64).
+query moved its small-vector steps to Python floats.  The design and LP
+values were regenerated once, when every sum that reaches an output became
+a correctly rounded ``math.fsum``.  All are compared through ``float.hex``,
+so later speed work cannot change an answer silently.  Regenerating them
+is a deliberate behaviour change.
 """
 
 import json
@@ -208,7 +206,7 @@ n=2 tau=0x1.fef0a6eb35dcbp-2 p*=0x1.c602f4adfc4e5p-2 default=1
 n=3 tau=0x1.31ad18f71ccbdp-4 p*=0x1.959e2b2c8865cp-1 default=1
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.c79db0ca56770p-2 0x0.0p+0
     0x0.0p+0 0x1.1c31279ad4c48p-1
-n=3 tau=0x1.ca83a572ab31bp-3 p*=0x1.86086cdae1b4ep-1 default=1
+n=3 tau=0x1.ca83a572ab31bp-3 p*=0x1.86086cdae1b4fp-1 default=1
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.745915c04dfa8p-2 0x0.0p+0
     0x0.0p+0 0x1.45d3751fd902cp-1
 n=3 tau=0x1.7e185f34e3fecp-2 p*=0x1.711909e511618p-1 default=1
@@ -220,7 +218,7 @@ n=3 tau=0x1.57e2bc1600655p-1 p*=0x1.0e4dd35187bdep-2 default=1
 n=3 tau=0x1.7e18462a65987p-1 p*=0x1.1db1c68dc377ap-3 default=1
     0x1.d604e754161cep-20 0x1.0000000000000p+0 0x0.0p+0 0x1.ffffc53f63158p-1
     0x0.0p+0 0x1.0000000000000p+0
-n=8 tau=0x1.6492042d99e13p-4 p*=0x1.bf7bfa5d794f3p-1 default=0
+n=8 tau=0x1.6492042d99e13p-4 p*=0x1.bf7bfa5d794f4p-1 default=0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x1.8c63cd5067d50p-3 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
@@ -230,7 +228,7 @@ n=8 tau=0x1.0b6d83223368ep-2 p*=0x1.ab2a298bdd28dp-1 default=0
     0x1.810ab66e83f06p-2 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x1.3f7aa4c8be07dp-1 0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0
-n=8 tau=0x1.bdb6853900597p-2 p*=0x1.8df3bdc8f4febp-1 default=0
+n=8 tau=0x1.bdb6853900597p-2 p*=0x1.8df3bdc8f4feap-1 default=0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x1.46d4eaf7139d4p-1 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
@@ -254,7 +252,7 @@ n=16 tau=0x1.889a08a1a4552p-4 p*=0x1.e6f47dab0e02ep-1 default=1
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.fc2c36de17c30p-3
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
-n=16 tau=0x1.267386793b3fdp-2 p*=0x1.e01d482d0b842p-1 default=1
+n=16 tau=0x1.267386793b3fdp-2 p*=0x1.e01d482d0b843p-1 default=1
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.1276d5cf17793p-1
@@ -263,93 +261,93 @@ n=16 tau=0x1.267386793b3fdp-2 p*=0x1.e01d482d0b842p-1 default=1
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.db125461d10dap-2
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
-n=16 tau=0x1.eac08aca0d6a6p-2 p*=0x1.d4aed79efe6fap-1 default=1
+n=16 tau=0x1.eac08aca0d6a6p-2 p*=0x1.d4aed79efe6f9p-1 default=1
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
-    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.6748058da1062p-3
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.6748058da1042p-3
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
-    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.a62dfe9c97be8p-1
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.a62dfe9c97bf0p-1
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
 n=16 tau=0x1.b9ad49b5d8dfcp-1 p*=0x1.6fadb53ad3659p-1 default=1
     0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
     0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
-    0x1.1dd469fa83e68p-1 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.1dd469fa83e60p-1 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0
     0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
-    0x1.c4572c0af8330p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0
-n=16 tau=0x1.eac06aa0991e8p-1 p*=0x1.17807426e06f8p-4 default=1
+    0x1.c4572c0af8340p-2 0x0.0p+0 0x0.0p+0 0x0.0p+0
+n=16 tau=0x1.eac06aa0991e8p-1 p*=0x1.17807426e06c1p-4 default=1
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
-    0x0.0p+0 0x1.ea06b734d28cap-12 0x0.0p+0 0x0.0p+0
+    0x0.0p+0 0x1.ea06b734b6837p-12 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
-    0x1.0000000000000p+0 0x1.ffc2bf291965bp-1 0x1.0000000000000p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.ffc2bf2919693p-1 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0
-n=24 tau=0x1.395905090bf68p-4 p*=0x1.739036ee23eacp-1 default=1
+n=24 tau=0x1.395905090bf67p-4 p*=0x1.739036ee23eadp-1 default=1
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
-    0x0.0p+0 0x1.6da00ebf970bfp-1 0x0.0p+0 0x1.0000000000000p+0
+    0x0.0p+0 0x1.6da00ebf970bep-1 0x0.0p+0 0x1.0000000000000p+0
     0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
-    0x1.0000000000000p+0 0x1.24bfe280d1e82p-2 0x1.0000000000000p+0 0x0.0p+0
+    0x1.0000000000000p+0 0x1.24bfe280d1e84p-2 0x1.0000000000000p+0 0x0.0p+0
     0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
-n=24 tau=0x1.d605878d91f1ap-3 p*=0x1.5424875693bb6p-1 default=1
+n=24 tau=0x1.d605878d91f19p-3 p*=0x1.5424875693bb6p-1 default=1
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
-    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.2898c3feca4d7p-1 0x0.0p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.2898c3feca4d2p-1 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
     0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
-    0x0.0p+0 0x0.0p+0 0x1.aece78026b652p-2 0x1.0000000000000p+0
+    0x0.0p+0 0x0.0p+0 0x1.aece78026b65cp-2 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
     0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
-n=24 tau=0x1.87af464b4ef41p-2 p*=0x1.2dca06fd09b4ap-1 default=1
-    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.f5afbebdc6df0p-1
+n=24 tau=0x1.87af464b4ef40p-2 p*=0x1.2dca06fd09b4ap-1 default=1
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.f5afbebdc6debp-1
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
     0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
-    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.4a08284724200p-6
+    0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.4a082847242a0p-6
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
     0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
     0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
-n=24 tau=0x1.608425aa2d754p-1 p*=0x1.51f79cd2d326bp-3 default=1
+n=24 tau=0x1.608425aa2d753p-1 p*=0x1.51f79cd2d3270p-3 default=1
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
-    0x0.0p+0 0x0.0p+0 0x1.87cd4826e1776p-1 0x0.0p+0
+    0x0.0p+0 0x0.0p+0 0x1.87cd4826e1794p-1 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
-    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.e0cadf647a228p-3 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.e0cadf647a1b0p-3 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0
-n=24 tau=0x1.87af2c9fee1f0p-1 p*=0x1.bff591b7fe82ap-7 default=1
-    0x0.0p+0 0x1.3093248314ec0p-14 0x1.0000000000000p+0 0x0.0p+0
+n=24 tau=0x1.87af2c9fee1efp-1 p*=0x1.bff591b7fe86cp-7 default=1
+    0x0.0p+0 0x1.3093248366ae4p-14 0x1.0000000000000p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
-    0x1.0000000000000p+0 0x1.fff67b66dbe76p-1 0x0.0p+0 0x1.0000000000000p+0
+    0x1.0000000000000p+0 0x1.fff67b66dbe4dp-1 0x0.0p+0 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
     0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0
@@ -432,18 +430,18 @@ LPS = """
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
 8x2 ge 2x16
-    -0x1.e282854925961p-3 -0x1.f9fbf6e85ef36p-4 -0x1.3dda968c61b40p-3 -0x1.3b349b90d431fp-3
+    -0x1.e282854925961p-3 -0x1.f9fbf6e85ef36p-4 -0x1.3dda968c61b3fp-3 -0x1.3b349b90d431fp-3
     0x1.c2c3c10782701p-3 -0x1.0000000000000p+0 0x1.ae6e18bc9482ap-5 -0x1.d6820f6cc8e49p-2
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
-    0x1.e282854925961p-3 0x1.f9fbf6e85ef36p-4 0x1.3dda968c61b40p-3 0x1.3b349b90d431fp-3
+    0x1.e282854925961p-3 0x1.f9fbf6e85ef36p-4 0x1.3dda968c61b3fp-3 0x1.3b349b90d431fp-3
     -0x1.c2c3c10782701p-3 0x1.0000000000000p+0 -0x1.ae6e18bc9482ap-5 0x1.d6820f6cc8e49p-2
 8x2 ge_rhs 2
     0x0.0p+0 0x0.0p+0
 8x2 eq 9x16
-    -0x1.e282854925961p-3 -0x1.f9fbf6e85ef36p-4 -0x1.3dda968c61b40p-3 -0x1.3b349b90d431fp-3
+    -0x1.e282854925961p-3 -0x1.f9fbf6e85ef36p-4 -0x1.3dda968c61b3fp-3 -0x1.3b349b90d431fp-3
     0x1.c2c3c10782701p-3 -0x1.0000000000000p+0 0x1.ae6e18bc9482ap-5 -0x1.d6820f6cc8e49p-2
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
     0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0
