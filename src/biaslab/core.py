@@ -188,6 +188,9 @@ class Instance:
     ``utility`` has one row per action and one column per state.  The
     default action is the unique best response at the prior; construct
     instances through :func:`validate_instance` so that this is checked.
+    The derived tables below are built once, here; they hold nothing
+    specific to two actions, and the design rows of every instance are
+    formed from the prior and the utility rows.
     """
 
     states: tuple
@@ -206,10 +209,6 @@ class Instance:
     _gap_rows: tuple = field(init=False, repr=False)
     # Cumulative prior over states, the inverse-CDF table of every episode.
     _state_cdf: tuple = field(init=False, repr=False)
-    # Two actions only: the prior, the (non-default over default) utility
-    # difference and that difference's prior mean, the instance's part of
-    # every design row; else None.
-    _pair_gap: tuple | None = field(init=False, repr=False)
     # Per non-default action, in action order: the largest threshold at
     # which its shifted indifference hyperplane still meets the simplex.
     # Their maximum is the testable range, the one rule every testability
@@ -229,11 +228,6 @@ class Instance:
         object.__setattr__(self, "gaps", _frozen(gap_rows))
         # The same additions in the same order as numpy's cumsum.
         object.__setattr__(self, "_state_cdf", tuple(accumulate(prior)))
-        pair = None
-        if self.n_actions == 2:
-            du = tuple(-x for x in gap_rows[0])  # exactly u[a] - u[d]
-            pair = (prior, du, _fsum(prior, du))
-        object.__setattr__(self, "_pair_gap", pair)
         # Per gap row, the reach below zero over the value at the prior,
         # mapped from odds to a threshold.  Odds that overflow to inf map to
         # the threshold's limit 1, where the mapping would give NaN.

@@ -20,10 +20,12 @@ from .core import ATOL, Instance, SignalingScheme, _check_threshold, _fsum, baye
 from .errors import Infeasible, Numerical, Untestable, VerificationFailed
 
 PIVOT_TOL = 1e-10
-# Coefficients of a unit-norm constraint row below this are rounding noise;
-# snapping them to zero keeps behaviour stable when a threshold sits exactly
-# on the edge of the testable range.
-COEF_SNAP = 1e-12
+# Coefficients of a unit-norm constraint row below this are snapped to zero.
+# It is HiGHS's default ``small_matrix_value``: HiGHS drops smaller entries
+# itself, so snapping them here makes the rows that ``solve_lp`` and
+# ``verify_design`` check the rows HiGHS solves.  Near the edge of the
+# testable range such entries are rounding noise.
+COEF_SNAP = 1e-9
 
 _MAX_PIVOTS = 100_000
 
@@ -106,15 +108,14 @@ def build_lp(instance: Instance, tau: float) -> LinearProgram:
     nA, nS = instance.n_actions, instance.n_states
     n = nA * nS
     d = instance.default_index
-    prior, rows = instance._prior, instance._rows
+    prior = instance._prior
 
     objective = np.zeros(n)
     ge = np.zeros((nA * (nA - 1), n))
     eq = np.zeros((nA - 1 + nS, n))
-    for k, (a, other) in enumerate(itertools.permutations(range(nA), 2)):
+    for k, (a, other, row) in enumerate(_pair_rows(instance, tau)):
         block = slice(a * nS, (a + 1) * nS)
-        du = [x - y for x, y in zip(rows[a], rows[other])]
-        ge[k, block] = _pair_row(prior, tau, du, _fsum(prior, du))
+        ge[k, block] = row
         if other == d:
             # Indifference with the default is this row held at zero (the
             # indifference rows skip the default action), and every
@@ -153,6 +154,23 @@ def _pair_row(mu0: Sequence[float], tau: float, du: Sequence[float], mean_du: fl
     if not scale > 0.0:
         scale = 1.0  # a zero row stays as it is, and x / 1.0 is x
     return [0.0 if abs(y := x / scale) < COEF_SNAP else y for x in row]
+
+
+def _pair_rows(instance: Instance, tau: float):
+    """Yield ``(a, other, row)`` for each ordered action pair, in
+    ``itertools.permutations`` order, with ``row`` the (a over other)
+    optimality row on pi(a|.).  ``build_lp`` lays these rows out and
+    ``verify_design`` reads them, so both see the same bits."""
+    for a, other in itertools.permutations(range(instance.n_actions), 2):
+        yield a, other, _row_over(instance, tau, a, other)
+
+
+def _row_over(instance: Instance, tau: float, a: int, other: int) -> list:
+    """``_pair_row`` for (a over other), from the instance's prior and
+    utility rows."""
+    prior, rows = instance._prior, instance._rows
+    du = [x - y for x, y in zip(rows[a], rows[other])]
+    return _pair_row(prior, tau, du, _fsum(prior, du))
 
 
 def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
@@ -359,8 +377,8 @@ def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
     """
     _check_testable(instance, tau)
     a = 1 - instance.default_index
-    mu0, du, mean_du = instance._pair_gap
-    row = _pair_row(mu0, tau, du, mean_du)  # the (a over d) row
+    mu0 = instance._prior
+    row = _row_over(instance, tau, a, 1 - a)  # the (a over d) row
 
     pi = [1.0 if r >= 0.0 else 0.0 for r in row]
     budget = _fsum(row, pi)
@@ -395,12 +413,14 @@ _SIM_MASS_FLOOR = 1e-6
 def verify_design(instance: Instance, tau: float, result: DesignResult) -> DesignReport:
     """Check a design against the LP rows and cross-validate by simulation.
 
-    Evaluates the scheme on the rows of ``build_lp(instance, tau)``: the
-    optimality inequalities, the indifference equalities and the
-    distribution equalities.  Then independently confirms indifference:
-    mix each useful signal's posterior with the prior at weight ``tau`` and
-    compare the expected utilities of the recommended and default actions,
-    per unit of their largest utility gap.
+    Evaluates the scheme on each pair's row, the rows ``build_lp`` lays
+    out, summed exactly by ``core._fsum``: every (a over other) optimality
+    residual, the (a over default) ones again as indifference residuals,
+    and each state's distribution residual.  So the report is the same on
+    every CPU, and no LP is built.  Then independently confirms
+    indifference: mix each useful signal's posterior with the prior at
+    weight ``tau`` and compare the expected utilities of the recommended
+    and default actions, per unit of their largest utility gap.
     Raises VerificationFailed when the scheme's shape or signal labels are
     not the instance's actions in order, or when a residual exceeds
     ``VERIFY_TOL`` or is NaN; the message names each failing row, and the
@@ -415,41 +435,38 @@ def verify_design(instance: Instance, tau: float, result: DesignResult) -> Desig
     d = instance.default_index
     signals = scheme.signals
 
-    lp = build_lp(instance, tau)
-    x = scheme.cond.ravel()
-    ge_rows = lp.ge @ x - lp.ge_rhs
-    eq_rows = np.abs(lp.eq @ x - lp.eq_rhs)  # indifference rows, then distribution rows
-    non_default = [a for a in range(nA) if a != d]
-
     # Every tolerance test below is written so that NaN fails it.
-    violations = [
-        f"optimality({signals[a]} over {signals[other]}): {row:.3g}"
-        for (a, other), row in zip(itertools.permutations(range(nA), 2), ge_rows)
-        if not row >= -VERIFY_TOL
-    ]
-    violations += [
-        f"indifference({signals[a]}): {row:.3g}" for a, row in zip(non_default, eq_rows) if not row <= VERIFY_TOL
-    ]
-    dist = float(eq_rows[nA - 1 :].max())
+    violations, indifference = [], []
+    opt = ind = 0.0
+    for a, other, row in _pair_rows(instance, tau):
+        r = _fsum(row, scheme._rows[a])
+        opt = max(opt, -r)
+        if not r >= -VERIFY_TOL:
+            violations.append(f"optimality({signals[a]} over {signals[other]}): {r:.3g}")
+        if other == d:
+            ind = max(ind, abs(r))
+            if not abs(r) <= VERIFY_TOL:
+                indifference.append(f"indifference({signals[a]}): {abs(r):.3g}")
+    violations += indifference
+    columns = [abs(_fsum(column) - 1.0) for column in zip(*scheme._rows)]
+    dist = max(columns) if all(c == c for c in columns) else math.nan  # max can pass over a NaN
     if not dist <= VERIFY_TOL:
         violations.append(f"distribution: {dist:.3g}")
 
     sim = 0.0
     probs = scheme.signal_probs(instance.prior)
-    for a in non_default:
-        if not probs[a] > _SIM_MASS_FLOOR:
+    for a in range(nA):
+        if a == d or not probs[a] > _SIM_MASS_FLOOR:
             continue
         posterior = bayes_posterior(instance, scheme, signals[a])
         nu = biased_belief(instance.prior, posterior, tau)
         eu = instance.expected_utilities(nu)
         # Per unit of the pair's utility gap, as the LP rows are scaled.
-        gap = abs(float(eu[a] - eu[d])) / float(np.abs(instance.gaps[a - (a > d)]).max())
+        gap = abs(float(eu[a] - eu[d])) / max(map(abs, instance._gap_rows[a - (a > d)]))
         sim = max(sim, gap)
         if not gap <= VERIFY_TOL:
             violations.append(f"simulated indifference({signals[a]}): {gap:.3g}")
 
     if violations:
         raise VerificationFailed("; ".join(violations))
-    opt = max(0.0, -float(ge_rows.min()))
-    ind = float(eq_rows[: nA - 1].max())
     return DesignReport(optimality=opt, indifference=ind, distribution=dist, indifference_sim=sim)

@@ -169,21 +169,13 @@ class TestInstanceGaps:
             assert inst.gaps.flags.c_contiguous
             assert not inst.gaps.flags.writeable
 
-    def test_per_instance_tables_match_per_call_forms(self, symmetric3_instance):
-        # The episode and two-action design tables are built once per
-        # instance; each must equal, bit for bit, what a call would compute.
+    def test_per_instance_tables_match_per_call_forms(self):
+        # The episode table is built once per instance; it must equal, bit
+        # for bit, what a call would compute.
         rng = np.random.default_rng(12)
         for n_states in range(2, 9):
             inst = random_instance(rng, n_states=n_states, n_actions=2)
-            u, d, mu0 = inst.utility, inst.default_index, inst.prior.probs
-            du = u[1 - d] - u[d]
-            prior, gap, mean = inst._pair_gap
-            assert isinstance(prior, tuple) and isinstance(gap, tuple)  # immutable
-            assert [x.hex() for x in prior] == [x.hex() for x in mu0.tolist()]
-            assert [x.hex() for x in gap] == [x.hex() for x in du.tolist()]
-            assert mean.hex() == math.fsum(mu0 * du).hex()
-            assert inst._state_cdf == tuple(np.cumsum(mu0).tolist())
-        assert symmetric3_instance._pair_gap is None
+            assert inst._state_cdf == tuple(np.cumsum(inst.prior.probs).tolist())
 
     def test_derived_not_settable(self, twostate_instance):
         assert "gaps" not in repr(twostate_instance)

@@ -18,7 +18,7 @@ from biaslab import (
     splitting_check,
     verify_design,
 )
-from biaslab import geometry
+from biaslab import design as design_module, geometry
 from biaslab.cli import run_cli
 from biaslab.core import SignalingScheme
 from biaslab.design import COEF_SNAP, _knapsack_design, _pair_row
@@ -277,6 +277,16 @@ class TestVerifyDesign:
                     continue
                 assert verify_design(inst, tau, res).max_residual() <= 1e-8
 
+    def test_builds_no_lp(self, twostate_instance, symmetric3_instance, monkeypatch):
+        # verify_design reads each pair's row itself; it needs no dense LP.
+        designs = [(inst, design_scheme(inst, 0.5)) for inst in (twostate_instance, symmetric3_instance)]
+        calls = []
+        real = design_module.build_lp
+        monkeypatch.setattr(design_module, "build_lp", lambda *args: calls.append(args) or real(*args))
+        for inst, res in designs:
+            verify_design(inst, 0.5, res)
+        assert calls == []
+
     def test_corrupted_scheme_fails_indifference(self, twostate_instance):
         res = design_scheme(twostate_instance, 0.5)
         cond = np.array(res.scheme.cond)
@@ -515,10 +525,10 @@ class TestKnownLpDefects:
 class TestKnownHighsDefect:
     """A three-action instance 1e-8 (relative) below tau_max, where the
     a2 indifference row has two entries of 8.1e-10.  HiGHS drops matrix
-    entries below 1e-9, returns p* 0.25 with an equality residual of
-    1.6e-9, and ``solve_lp``'s ATOL check raises ``Numerical``.  The test
-    states the right answer and is a strict expected failure while HiGHS
-    solves these rows."""
+    entries below 1e-9; while ``COEF_SNAP`` kept them, HiGHS solved another
+    LP than the one ``solve_lp`` checked, returned p* 0.25 with an equality
+    residual of 1.6e-9, and the ATOL check raised ``Numerical``.  Snapping
+    at HiGHS's own threshold makes both the same LP."""
 
     RAW = {
         "states": ["t0", "t1", "t2", "t3"],
@@ -527,7 +537,6 @@ class TestKnownHighsDefect:
         "utility": [[0, 0, 0, 0], [0, 1, 0, 0], [0, -5, 2, 2]],
     }
 
-    @pytest.mark.xfail(strict=True, raises=Numerical, reason="HiGHS drops entries below 1e-9")
     def test_design_just_below_tau_max(self):
         inst = make_instance(**self.RAW)
         tau = geometry.testable_range(inst) * (1.0 - 1e-8)

@@ -103,6 +103,13 @@ def _outputs(workdir: Path):
         lp = bl.build_lp(random_instance(rng, n_states=n_states, n_actions=n_actions), 0.3)
         yield _hex([*lp.objective, *np.ravel(lp.ge), *np.ravel(lp.eq)])
 
+    # verify_design's reports: residual sums over each design's pair rows.
+    rng = np.random.default_rng(5)
+    for n_states in (2, 3, 4, 6, 8, 12, 16):
+        for n_actions in (2, 3, 4):
+            inst = random_instance(rng, n_states=n_states, n_actions=n_actions)
+            yield _attempt(_report, inst, bl.testable_range(inst) / 2)
+
     # The general bias models' bisections, on the seeded files.
     for n, a in SHAPES:
         inst = bl.make_instance(**_seeded_raw(n, a))
@@ -125,6 +132,14 @@ def _attempt(fn, *args):
         return fn(*args)
     except BiasLabError as exc:
         return type(exc).__name__
+
+
+def _report(inst, tau) -> str:
+    """The ``_hex`` of ``verify_design``'s report on the design at ``tau``."""
+    import biaslab as bl
+
+    r = bl.verify_design(inst, tau, bl.design_scheme(inst, tau))
+    return _hex([r.optimality, r.indifference, r.distribution, r.indifference_sim])
 
 
 def _hex(values) -> str:
