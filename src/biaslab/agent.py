@@ -54,22 +54,24 @@ def preference_sign(
     """Sign of the agent's preference for ``a1`` over ``a2`` given ``signal``.
 
     +1 when a level-``w`` agent strictly prefers a1, -1 when it strictly
-    prefers a2, 0 within the shared tolerance band.  Equals the sign of the
-    expected-utility gap under the linear distorted belief, but evaluated
-    without forming the posterior (the signal mass multiplies through).
+    prefers a2, 0 when their expected-utility gap under the linear
+    distorted belief is within ``ATOL``, the agent's own tie band.  That
+    gap is evaluated without forming the posterior: the mass-weighted
+    expression, divided once by the signal's mass.
     """
     _check_level(w)
     _check_states(instance, scheme.n_states, "scheme")
     s = scheme.signal_index(signal)
     mu0, rows = instance._prior, instance._rows
-    if _fsum(scheme._rows[s], mu0) <= ZERO_MASS:
+    mass = _fsum(scheme._rows[s], mu0)
+    if mass <= ZERO_MASS:
         raise ZeroProbabilitySignal(f"signal {signal!r} is never sent")
     du = [x - y for x, y in zip(rows[instance.action_index(a1)], rows[instance.action_index(a2)])]
     keep, shift = 1.0 - w, w * _fsum(mu0, du)
-    expr = _fsum([c * m for c, m in zip(scheme._rows[s], mu0)], [keep * x + shift for x in du])
-    if abs(expr) <= ATOL:
+    gap = _fsum([c * m for c, m in zip(scheme._rows[s], mu0)], [keep * x + shift for x in du]) / mass
+    if abs(gap) <= ATOL:
         return 0
-    return 1 if expr > 0 else -1
+    return 1 if gap > 0 else -1
 
 
 @lru_cache(maxsize=1)
@@ -91,17 +93,15 @@ def episode_sampler(instance: Instance, scheme: SignalingScheme):
     """
     _check_states(instance, scheme.n_states, "scheme")
     state_cdf = instance._state_cdf
-    columns = list(zip(*scheme._rows))
-    signal_cdfs = [list(accumulate(column)) for column in columns]
+    signal_cdfs = [list(accumulate(column)) for column in zip(*scheme._rows)]
     last_state = instance.n_states - 1
-    n_signals = scheme.n_signals
 
     def draw(rng: np.random.Generator) -> tuple:
         t = min(bisect_right(state_cdf, rng.random()), last_state)
         signal_cdf = signal_cdfs[t]
+        # r < 1 and a positive total give r * total < total, so the signal
+        # drawn is one of positive mass, below the number of signals.
         s = bisect_right(signal_cdf, rng.random() * signal_cdf[-1])
-        if s >= n_signals:  # guard against cumulative rounding
-            s = max(k for k, p in enumerate(columns[t]) if p > 0.0)
         return t, s
 
     return draw

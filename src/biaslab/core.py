@@ -186,8 +186,11 @@ class Instance:
     """A decision problem: states, actions, prior, and a payoff matrix.
 
     ``utility`` has one row per action and one column per state.  The
-    default action is the unique best response at the prior; construct
-    instances through :func:`validate_instance` so that this is checked.
+    default action must beat every other action at the prior by more than
+    ``ATOL``, each lead one correctly rounded sum of a gap row against the
+    prior; otherwise construction raises NoUniqueDefault.  Construct
+    instances through :func:`validate_instance`, which picks the default by
+    expected utility and checks the input.
     The derived tables below are built once, here; they hold nothing
     specific to two actions, and the design rows of every instance are
     formed from the prior and the utility rows.
@@ -198,7 +201,9 @@ class Instance:
     prior: Belief
     utility: np.ndarray
     default_action: str
-    prior_margin: float
+    # The default's lead over the runner-up: the smallest value at the prior
+    # of a row of ``gaps``.  Derived; above ATOL, or construction raises.
+    prior_margin: float = field(init=False)
     # Default-minus-action utility gaps, one row per non-default action in
     # action order; each row is positive at the prior.  Derived, read-only.
     gaps: np.ndarray = field(init=False, repr=False)
@@ -228,10 +233,17 @@ class Instance:
         object.__setattr__(self, "gaps", _frozen(gap_rows))
         # The same additions in the same order as numpy's cumsum.
         object.__setattr__(self, "_state_cdf", tuple(accumulate(prior)))
+        # The default must win strictly at the prior, judged on the same
+        # sums the thresholds divide by.
+        values = [_fsum(gap, prior) for gap in gap_rows]
+        margin = min(values)
+        if margin <= ATOL:
+            raise NoUniqueDefault(f"top actions tie at the prior (margin {margin:.3g} <= {ATOL})")
+        object.__setattr__(self, "prior_margin", margin)
         # Per gap row, the reach below zero over the value at the prior,
         # mapped from odds to a threshold.  Odds that overflow to inf map to
         # the threshold's limit 1, where the mapping would give NaN.
-        ratios = [max(0.0, -min(gap)) / _fsum(gap, prior) for gap in gap_rows]
+        ratios = [max(0.0, -min(gap)) / value for gap, value in zip(gap_rows, values)]
         thresholds = tuple(1.0 if ratio == math.inf else ratio / (1.0 + ratio) for ratio in ratios)
         object.__setattr__(self, "_thresholds", thresholds)
         object.__setattr__(self, "_tau_max", max(0.0, *thresholds))
@@ -407,19 +419,14 @@ def validate_instance(raw: Mapping) -> Instance:
     total = _fsum(prior_vec)
     probs = [p / total for p in prior_vec]
     eu = [_fsum(row, probs) for row in rows]
-    order = sorted(range(len(actions)), key=lambda a: -eu[a])  # stable
-    margin = eu[order[0]] - eu[order[1]]
-    if margin <= ATOL:
-        raise NoUniqueDefault(
-            f"top actions tie at the prior (margin {margin:.3g} <= {ATOL})"
-        )
+    # The first action of largest expected utility; Instance refuses it
+    # unless it wins by more than ATOL.
     return Instance(
         states=states,
         actions=actions,
         prior=Belief._trusted(np.array(probs)),
         utility=np.array(rows),
-        default_action=actions[order[0]],
-        prior_margin=margin,
+        default_action=actions[eu.index(max(eu))],
     )
 
 

@@ -340,13 +340,20 @@ def _check_testable(instance: Instance, tau: float) -> None:
         raise Untestable(tau)
 
 
+def _useful_mass(value: float) -> float | None:
+    """p* of a design optimum ``value``: trimmed of rounding excess above 1,
+    and None, untestable, at or below ``ATOL``.  ``design_scheme``,
+    ``_knapsack_design`` and ``classify`` all read p* through here."""
+    return min(value, 1.0) if value > ATOL else None
+
+
 def _design_result(instance: Instance, tau: float, value: float, cond: np.ndarray, rows=None) -> DesignResult:
     """Wrap an optimum and its conditionals, one row per action, which must
     form a scheme by construction (``rows``: the same as tuples of floats,
-    when the caller has them).  p* is ``value`` trimmed of rounding excess
-    above 1; raises Untestable when p* <= ATOL."""
-    useful_mass = min(value, 1.0)
-    if useful_mass <= ATOL:
+    when the caller has them).  p* is ``_useful_mass(value)``; raises
+    Untestable when that is None."""
+    useful_mass = _useful_mass(value)
+    if useful_mass is None:
         raise Untestable(tau)
     # The instance's action labels are unique, so the scheme needs no checks.
     return DesignResult(

@@ -253,7 +253,6 @@ def estimate_bias(
     agent: BiasedAgent,
     epsilon: float,
     rng: np.random.Generator,
-    max_steps_per_test: int | None = None,
 ) -> BiasInterval:
     """Bracket the hidden bias level by binary search over thresholds.
 
@@ -284,7 +283,7 @@ def estimate_bias(
         raise NothingTestable("default action dominates everywhere")
 
     def at_or_above(tau: float) -> bool:
-        return threshold_test(instance, tau, agent, rng, max_steps_per_test).verdict == Verdict.GEQ
+        return threshold_test(instance, tau, agent, rng).verdict == Verdict.GEQ
 
     lo, hi, queries = _bisect(at_or_above, 0.0, tau_max, epsilon)
     if queries == 0:

@@ -57,10 +57,6 @@ class DefaultActionGap(BiasLabError):
     """Utility-gap vectors are only defined for non-default actions."""
 
 
-class InconsistentClassification(BiasLabError):
-    """The design LP finds no useful mass at a threshold the closed form calls testable."""
-
-
 class DegenerateParameters(BiasLabError):
     """Parameters outside the meaningful range for a confidence horizon."""
 

@@ -12,8 +12,8 @@ from enum import Enum
 import numpy as np
 
 from .core import ATOL, Instance, _check_threshold, _frozen, _fsum
-from .design import build_lp, solve_lp
-from .errors import DefaultActionGap, InconsistentClassification
+from .design import _useful_mass, build_lp, solve_lp
+from .errors import DefaultActionGap
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,10 +60,7 @@ def _gap_row(instance: Instance, action) -> int:
 
 
 def gap_vector(instance: Instance, action) -> GapVector:
-    coeffs = instance.gaps[_gap_row(instance, action)]
-    # Assumption: the default wins strictly at the prior.
-    assert _fsum(coeffs.tolist(), instance._prior) > ATOL
-    return GapVector(action=action, coeffs=coeffs)
+    return GapVector(action=action, coeffs=instance.gaps[_gap_row(instance, action)])
 
 
 def indifference_offset(instance: Instance, action, tau: float) -> float:
@@ -86,8 +83,9 @@ def translated_set_nonempty(instance: Instance, action, tau: float) -> bool:
 
 
 def testable_range(instance: Instance) -> float:
-    """Largest testable threshold; every threshold up to it, itself
-    included, is testable, and every threshold above it is not.
+    """Largest testable threshold; every threshold above it is untestable,
+    and every threshold up to it, itself included, is testable unless its
+    p* is at most ``ATOL`` (see ``classify``).
 
     Per gap row, the reach below zero over the value at the prior, mapped
     from odds to a threshold; the range is the largest of these, computed
@@ -103,13 +101,13 @@ def classify(instance: Instance, tau: float) -> Classification:
 
     The closed form decides testability: a threshold above
     ``testable_range`` is untestable, answered without building an LP,
-    and one at or below it is testable.  The design LP gives only p*:
-    single sample when it reaches 1, finite otherwise.  p* is the LP
-    optimum capped at 1, bit for bit the value ``design_scheme`` reports; a
-    solver failure propagates as its own error.  ``nonempty_actions`` are
-    the actions whose translated set is nonempty at ``tau``.  An LP with no
-    useful mass at a testable threshold can only come from a solver defect
-    and raises InconsistentClassification.
+    and one at or below it is testable unless its p* is at most ``ATOL``.
+    The design LP gives p*: single sample when it reaches 1, finite
+    otherwise.  p* is the LP optimum through ``design_scheme``'s own rule,
+    capped at 1 and None at or below ``ATOL``, so the two agree bit for bit
+    and on every untestable threshold; a solver failure propagates as its
+    own error.  ``nonempty_actions`` are the actions whose translated set
+    is nonempty at ``tau``.
     """
     _check_threshold(tau)
     tau_max = testable_range(instance)
@@ -117,9 +115,11 @@ def classify(instance: Instance, tau: float) -> Classification:
         return Classification(Testability.UNTESTABLE, None, (), tau_max)
 
     value, _ = solve_lp(build_lp(instance, tau))
+    p_star = _useful_mass(value)
     actions = [a for a in instance.actions if a != instance.default_action]
     nonempty = tuple(a for a, tau_a in zip(actions, instance._thresholds) if tau <= tau_a)
-    if value <= ATOL:
-        raise InconsistentClassification(f"no useful mass but nonempty translated sets: {list(nonempty)}")
-    verdict = Testability.SINGLE_SAMPLE if value >= 1.0 - ATOL else Testability.FINITE
-    return Classification(verdict, min(value, 1.0), nonempty, tau_max)
+    if p_star is None:
+        verdict = Testability.UNTESTABLE
+    else:
+        verdict = Testability.SINGLE_SAMPLE if p_star >= 1.0 - ATOL else Testability.FINITE
+    return Classification(verdict, p_star, nonempty, tau_max)

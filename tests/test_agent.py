@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from biaslab import (
     uninformative_scheme,
 )
 from biaslab.agent import episode_sampler
+from biaslab.core import ATOL
 from biaslab.errors import OutOfRangeBias, ZeroProbabilitySignal
 from conftest import random_instance, random_scheme
 
@@ -90,14 +93,84 @@ class TestPreferenceSign:
             nu = biased_belief(inst.prior, post, w)
             eu = inst.expected_utilities(nu)
             gap = eu[inst.action_index(a1)] - eu[inst.action_index(a2)]
-            direct = 0 if abs(gap) <= 1e-9 else (1 if gap > 0 else -1)
             algebraic = preference_sign(inst, scheme, s, a1, a2, w)
-            # identical sign; both zero-bands are tolerance-scaled variants
-            if direct != 0 and algebraic != 0:
-                assert direct == algebraic
+            # One band on one gap: the signs agree wherever rounding cannot
+            # move the gap across the band's edge.
+            if abs(gap) >= 2 * ATOL:
+                assert algebraic == (1 if gap > 0 else -1)
+
+    def test_agent_gap_just_above_the_band(self, twostate_instance):
+        # The agent's expected-utility gap is 5.0e-9, no tie; weighted by the
+        # signal's mass 0.116 it used to fall inside the band and read 0.
+        scheme = bl.SignalingScheme(signals=("x", "y"), cond=np.array([[0.5, 0.02], [0.5, 0.98]]))
+        w = 0.5468749962239584
+        nu = biased_belief(twostate_instance.prior, bayes_posterior(twostate_instance, scheme, "x"), w)
+        assert best_response(twostate_instance, nu) == ("Active", pytest.approx(5.0e-9, rel=1e-6), False)
+        assert preference_sign(twostate_instance, scheme, "x", "Active", "Passive", w) == 1
+
+    def test_agrees_with_best_response_outside_twice_the_band(self):
+        # Levels are drawn a few ATOL from the agent's indifference level, so
+        # the gaps compared lie near the band, not only far from it.
+        rng = np.random.default_rng(29)
+        near = 0
+        for _ in range(1000):
+            inst = random_instance(rng, n_actions=2)
+            scheme = random_scheme(rng, inst.n_states)
+            s = scheme.signals[int(rng.integers(scheme.n_signals))]
+            a1, a2 = rng.permutation(inst.actions)
+            i1, i2 = inst.action_index(a1), inst.action_index(a2)
+            post = bayes_posterior(inst, scheme, s)
+            g_post, g_prior = (float(eu[i1] - eu[i2]) for eu in map(inst.expected_utilities, (post, inst.prior)))
+            if not 0.0 < g_post / (g_post - g_prior) < 1.0:
+                continue
+            w = g_post / (g_post - g_prior) + rng.uniform(-10.0, 10.0) * ATOL / abs(g_post - g_prior)
+            if not 0.0 <= w <= 1.0:
+                continue
+            nu = biased_belief(inst.prior, post, w)
+            eu = inst.expected_utilities(nu)
+            gap = float(eu[i1] - eu[i2])
+            if abs(gap) < 2 * ATOL:
+                continue
+            near += abs(gap) < 10 * ATOL
+            response = best_response(inst, nu)
+            assert not response.tie
+            assert preference_sign(inst, scheme, s, a1, a2, w) == (1 if response.action == a1 else -1)
+        assert near > 50
+
+
+class _Uniforms:
+    """Stands in for a Generator: ``random()`` cycles through ``values``."""
+
+    def __init__(self, values):
+        self._values = itertools.cycle(values)
+
+    def random(self):
+        return next(self._values)
 
 
 class TestSampleEpisode:
+    def test_draws_at_the_ends_of_the_unit_interval(self):
+        # 0 lands on the first signal of positive mass, and the largest
+        # uniform below 1 on one of positive mass too, never past the last
+        # signal, on sparse columns whose entries span hundreds of orders of
+        # magnitude.
+        rng = np.random.default_rng(37)
+        top = 1.0 - 2.0**-53
+        for _ in range(300):
+            inst = random_instance(rng, n_states=int(rng.integers(2, 6)))
+            n_signals = int(rng.integers(2, 9))
+            raw = 10.0 ** rng.uniform(-300.0, 0.0, size=(n_signals, inst.n_states))
+            raw *= rng.random((n_signals, inst.n_states)) < 0.4
+            raw[rng.integers(n_signals, size=inst.n_states), range(inst.n_states)] = 1.0
+            scheme = bl.SignalingScheme(signals=tuple(f"s{i}" for i in range(n_signals)), cond=raw / raw.sum(axis=0))
+            draw = episode_sampler(inst, scheme)
+            sent = [np.flatnonzero(column > 0.0) for column in scheme.cond.T]
+            for r_state in (0.0, top):
+                t, s = draw(_Uniforms([r_state, 0.0]))
+                assert s == sent[t][0]
+                t, s = draw(_Uniforms([r_state, top]))
+                assert s < n_signals and scheme.cond[s, t] > 0.0
+
     def test_empirical_signal_frequency(self, twostate_instance, designed):
         rng = np.random.default_rng(2718)
         agent = BiasedAgent(w=0.3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+import biaslab as bl
 from biaslab import (
     Belief,
     Instance,
@@ -15,6 +16,7 @@ from biaslab import (
     best_response,
     biased_belief,
     fully_informative_scheme,
+    gap_vector,
     load_instance,
     make_instance,
     scheme_from_posteriors,
@@ -31,7 +33,8 @@ from biaslab.errors import (
     ShapeMismatch,
     ZeroProbabilitySignal,
 )
-from biaslab.core import ATOL
+from biaslab.cli import run_cli
+from biaslab.core import ATOL, _fsum
 from conftest import random_belief, random_instance, random_scheme
 
 
@@ -186,9 +189,70 @@ class TestInstanceGaps:
         with pytest.raises(TypeError):
             Instance(
                 states=("G", "B"), actions=("A", "P"), prior=twostate_instance.prior,
-                utility=twostate_instance.utility, default_action="P", prior_margin=0.6,
+                utility=twostate_instance.utility, default_action="P",
                 gaps=np.zeros((1, 2)),
             )
+
+
+# Two actions at utilities near 1e8: each action's expected utility at the
+# prior rounds on its own, and a0's lead over a1 reads 1.49e-8 that way,
+# while the one correctly rounded sum of their gap row against the prior is
+# -1.4e-9.  Picked on the rounded difference, a0 became the default and
+# tau_max came out as 1.0000000000000002.
+ROUNDED_LEAD = {
+    "states": ["t0", "t1", "t2"],
+    "actions": ["a0", "a1"],
+    "prior": [0.8718108961080887, 0.06291519170481477, 0.06527391218709643],
+    "utility": [
+        [75101463.70030524, -8724841.94811466, 113090569.78794503],
+        [84302500.16712135, -71286533.52990055, 50500740.3886857],
+    ],
+}
+
+
+def _near_tie(rng, scale: float) -> dict:
+    """A random instance whose runner-up action trails the best at the prior
+    by a few ATOL (either way), utilities times ``scale``."""
+    n_s, n_a = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+    prior = 0.8 * rng.dirichlet(np.ones(n_s)) + 0.2 / n_s
+    utility = rng.normal(size=(n_a, n_s)) * scale
+    eu = utility @ prior
+    best, runner_up = np.argsort(-eu)[:2]
+    utility[runner_up] += eu[best] - eu[runner_up] - rng.uniform(-3.0, 3.0) * ATOL
+    return {"states": [f"t{i}" for i in range(n_s)], "actions": [f"a{i}" for i in range(n_a)],
+            "prior": prior.tolist(), "utility": utility.tolist()}
+
+
+class TestDefaultMargin:
+    """The default's lead is decided once, on the sums the thresholds
+    divide by: every gap row's correctly rounded value at the prior."""
+
+    def test_rounded_expected_utilities_do_not_decide(self, tmp_path):
+        with pytest.raises(NoUniqueDefault, match="tie at the prior"):
+            validate_instance(ROUNDED_LEAD)
+        path = tmp_path / "rounded-lead.json"
+        path.write_text(json.dumps(ROUNDED_LEAD), encoding="utf-8")
+        assert run_cli(["classify", "--instance", str(path), "--tau", "0.3"])[0] == 4
+
+    def test_near_ties_at_every_scale(self):
+        rng = np.random.default_rng(19)
+        seen = {"valid": 0, "refused": 0}
+        for k in range(10):
+            for _ in range(300):
+                try:
+                    inst = validate_instance(_near_tie(rng, 10.0**k))
+                except NoUniqueDefault:
+                    seen["refused"] += 1
+                    continue
+                seen["valid"] += 1
+                assert 0.0 <= bl.testable_range(inst) <= 1.0
+                leads = [_fsum(gap, inst._prior) for gap in inst._gap_rows]
+                assert inst.prior_margin == min(leads) > ATOL
+                for a in inst.actions:
+                    if a != inst.default_action:
+                        gap_vector(inst, a)
+        # Both sides of the margin are drawn at every scale.
+        assert seen["valid"] > 1000 and seen["refused"] > 1000, seen
 
 
 class TestBayesPosterior:

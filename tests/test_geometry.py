@@ -20,7 +20,6 @@ from biaslab.cli import run_cli
 from biaslab.design import _knapsack_design
 from biaslab.errors import (
     DefaultActionGap,
-    InconsistentClassification,
     NoUniqueDefault,
     Numerical,
     OutOfRangeThreshold,
@@ -133,16 +132,13 @@ class TestClassify:
         assert c.useful_mass is None
         assert c.nonempty_actions == ()
 
-    @pytest.mark.parametrize(
-        "tau, value, match",
-        [(0.5, 0.0, "no useful mass but nonempty")],
-        ids=["zero-mass-nonempty"],
-    )
-    def test_solver_disagreement_raises(self, twostate_instance, monkeypatch, tau, value, match):
-        # A stand-in solver contradicts the closed form: tau_max is 0.625 here.
-        monkeypatch.setattr("biaslab.geometry.solve_lp", lambda lp: (value, np.zeros(lp.n_vars)))
-        with pytest.raises(InconsistentClassification, match=match):
-            classify(twostate_instance, tau)
+    def test_no_useful_mass_is_untestable(self, twostate_instance, monkeypatch):
+        # A stand-in solver finds no useful mass below tau_max (0.625 here):
+        # p* goes through design_scheme's rule, so the answer is untestable.
+        monkeypatch.setattr("biaslab.geometry.solve_lp", lambda lp: (0.0, np.zeros(lp.n_vars)))
+        c = classify(twostate_instance, 0.5)
+        assert c.verdict is bl.Testability.UNTESTABLE and c.useful_mass is None
+        assert c.nonempty_actions == ("Active",)
 
     def test_agrees_with_design_over_grid(self):
         rng = np.random.default_rng(83)
@@ -221,6 +217,37 @@ THREE_ACTION = {
     ],
 }
 THREE_ACTION_TAU = 0.07094521197883318
+
+
+# Good has prior 1e-10, so p* is at most 1e-10 at every threshold, although
+# tau_max is 0.50000000005: every threshold is untestable, and classify
+# used to raise "no useful mass but nonempty translated sets" (exit 1)
+# where design_scheme raised Untestable (exit 3).
+TINY_PRIOR = {"states": ["G", "B"], "actions": ["A", "P"], "prior": [1e-10, 0.9999999999], "utility": [[1, -1], [0, 0]]}
+
+
+class TestUsefulMassFloor:
+    """p* at or below ATOL is untestable, in classify as in design_scheme."""
+
+    def test_every_threshold_untestable(self):
+        inst = make_instance(**TINY_PRIOR)
+        tau_max = bl.testable_range(inst)
+        assert tau_max == pytest.approx(0.5, abs=1e-9)
+        for tau in (0.01, 0.3, 0.5, tau_max):
+            c = classify(inst, tau)
+            assert c.verdict is bl.Testability.UNTESTABLE and c.useful_mass is None
+            for design in (design_scheme, _knapsack_design):
+                with pytest.raises(Untestable):
+                    design(inst, tau)
+
+    def test_cli_exit_codes(self, tmp_path):
+        path = tmp_path / "tiny-prior.json"
+        path.write_text(json.dumps(TINY_PRIOR), encoding="utf-8")
+        for argv in (["classify", "--tau", "0.3"], ["design", "--tau", "0.3"], ["estimate", "--w", "0.3", "--epsilon", "1e-3"]):
+            assert run_cli([argv[0], "--instance", str(path), *argv[1:]])[0] == 3, argv
+        code, out = run_cli(["sweep", "--instance", str(path)])
+        rows = out.splitlines()[1:]
+        assert code == 0 and len(rows) == 99 and all(row.endswith(",,inf,untestable") for row in rows)
 
 
 class TestClosedFormDecides:
