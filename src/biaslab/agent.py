@@ -22,7 +22,7 @@ from .core import (
     _check_level,
     _check_states,
     _fsum,
-    bayes_posterior,
+    _posterior,
     best_response,
 )
 from .bias_models import BiasFunction, LinearBias
@@ -43,8 +43,15 @@ class BiasedAgent:
 
 def agent_act(agent: BiasedAgent, instance: Instance, scheme: SignalingScheme, signal) -> str:
     """Action the agent takes after observing ``signal``."""
-    posterior = bayes_posterior(instance, scheme, signal)
-    belief = agent.bias_fn.evaluate(instance.prior, posterior, agent.w)
+    _check_states(instance, scheme.n_states, "scheme")
+    return _respond(agent, instance, scheme._rows[scheme.signal_index(signal)], signal)
+
+
+def _respond(agent: BiasedAgent, instance: Instance, row, signal) -> str:
+    """``agent_act`` for the signal whose conditional row is ``row``, a
+    sequence of floats over the instance's states: the Bayes posterior,
+    the agent's bias function and its best response."""
+    belief = agent.bias_fn.evaluate(instance.prior, _posterior(instance, row, signal), agent.w)
     return best_response(instance, belief, agent.tiebreak).action
 
 
@@ -92,8 +99,14 @@ def episode_sampler(instance: Instance, scheme: SignalingScheme):
     numpy's ``cumsum`` along the signals.
     """
     _check_states(instance, scheme.n_states, "scheme")
+    return _sampler(instance, scheme._rows)
+
+
+def _sampler(instance: Instance, rows):
+    """``episode_sampler`` for a scheme given by its rows, sequences of
+    floats over the instance's states, one per signal; not cached."""
     state_cdf = instance._state_cdf
-    signal_cdfs = [list(accumulate(column)) for column in zip(*scheme._rows)]
+    signal_cdfs = [list(accumulate(column)) for column in zip(*rows)]
     last_state = instance.n_states - 1
 
     def draw(rng: np.random.Generator) -> tuple:
@@ -115,8 +128,8 @@ def sample_episode(
     The state comes from the prior, the signal from the committed scheme's
     conditional row, and the action from the agent.  Deterministic given
     the generator state.  This is the one-episode reference; a threshold
-    test draws through the same ``episode_sampler`` but asks the agent for
-    its response to each signal only once.
+    test draws through the same ``_sampler`` and asks the agent through the
+    same ``_respond``, but only once per signal.
     """
     t, s = episode_sampler(instance, scheme)(rng)
     signal = scheme.signals[s]

@@ -82,8 +82,7 @@ def bias_function_from_config(config: Mapping) -> BiasFunction:
 
 def _gap_values(instance: Instance, belief: Belief) -> list:
     """gap . belief for each non-default action, in action order."""
-    probs = belief.probs.tolist()
-    return [_fsum(gap, probs) for gap in instance._gap_rows]
+    return [_fsum(gap, belief._floats) for gap in instance._gap_rows]
 
 
 def _min_gap(instance: Instance, belief: Belief) -> float:

@@ -13,8 +13,9 @@ from validated ones are valid by construction and skip the checks.
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
 from operator import mul
 from typing import Mapping, NamedTuple, Sequence
@@ -125,42 +126,56 @@ def _label_index(labels: tuple, label, kind: str) -> int:
         raise ShapeMismatch(f"unknown {kind} {label!r}") from None
 
 
-@dataclass(frozen=True, eq=False)
 class Belief:
     """A probability vector over states.
 
     Entries are nonnegative and sum to one within ``ATOL``.  Negative noise
-    within tolerance is clipped to zero at construction.
+    within tolerance is clipped to zero at construction.  The entries are
+    kept as Python floats, which every library step reads; ``probs``, a
+    read-only float64 array of them, is built the first time it is read
+    and then kept.  Immutable, like a frozen dataclass.
     """
 
-    probs: np.ndarray
+    def __init__(self, probs):
+        self.__dict__["_floats"] = probs
+        self.__post_init__()
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
+        # The checks, where the library's dataclasses keep theirs.
+        arr = np.array(self._floats, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ShapeMismatch("belief must be a nonempty 1-D vector")
-        arr = np.array(_check_probabilities(arr, "belief", ValueError))
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        self.__dict__["_floats"] = tuple(_check_probabilities(arr, "belief", ValueError))
 
     @classmethod
-    def _trusted(cls, probs: np.ndarray) -> "Belief":
-        """Wrap a float vector that is a belief by construction: no copy, no
-        checks.  The caller hands over ``probs``, which becomes read-only."""
-        probs.setflags(write=False)
+    def _trusted(cls, floats) -> "Belief":
+        """Wrap a sequence of Python floats that is a belief by
+        construction: no copy, no checks, no array.  The caller hands
+        ``floats`` over and never changes it."""
         belief = object.__new__(cls)
-        object.__setattr__(belief, "probs", probs)
+        belief.__dict__["_floats"] = floats
         return belief
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        # The same floats give the same bits, whichever thread builds it.
+        return _frozen(self._floats)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def dim(self) -> int:
-        return self.probs.size
+        return len(self._floats)
 
     def __getitem__(self, idx):
-        return float(self.probs[idx])
+        return self._floats[idx]
 
     def __len__(self) -> int:
-        return self.probs.size
+        return len(self._floats)
 
     def __repr__(self):
         return f"Belief({np.array2string(self.probs, precision=6)})"
@@ -223,7 +238,7 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "utility", _frozen(self.utility))
-        prior = tuple(self.prior.probs.tolist())
+        prior = self.prior._floats
         rows = tuple(map(tuple, self.utility.tolist()))
         d = self.default_index
         gap_rows = tuple(tuple(x - y for x, y in zip(rows[d], row)) for a, row in enumerate(rows) if a != d)
@@ -268,14 +283,13 @@ class Instance:
 
     def expected_utilities(self, belief: Belief) -> np.ndarray:
         """Expected utility of each action under the given belief."""
-        probs = belief.probs.tolist()
-        return np.array([_fsum(row, probs) for row in self._rows])
+        return np.array([_fsum(row, belief._floats) for row in self._rows])
 
     def to_json_dict(self) -> dict:
         return {
             "states": list(self.states),
             "actions": list(self.actions),
-            "prior": [float(p) for p in self.prior.probs],
+            "prior": list(self.prior._floats),
             "utility": [[float(u) for u in row] for row in self.utility],
         }
 
@@ -335,8 +349,7 @@ class SignalingScheme:
 
     def signal_probs(self, prior: Belief) -> np.ndarray:
         """Unconditional probability of each signal under the prior."""
-        probs = prior.probs.tolist()
-        return np.array([_fsum(row, probs) for row in self._rows])
+        return np.array([_fsum(row, prior._floats) for row in self._rows])
 
     def to_json_dict(self) -> dict:
         return {
@@ -424,7 +437,7 @@ def validate_instance(raw: Mapping) -> Instance:
     return Instance(
         states=states,
         actions=actions,
-        prior=Belief._trusted(np.array(probs)),
+        prior=Belief._trusted(tuple(probs)),
         utility=np.array(rows),
         default_action=actions[eu.index(max(eu))],
     )
@@ -456,23 +469,28 @@ def bayes_posterior(instance: Instance, scheme: SignalingScheme, signal) -> Beli
     and ShapeMismatch if the scheme does not cover the instance's states.
     """
     _check_states(instance, scheme.n_states, "scheme")
-    s = scheme.signal_index(signal)
-    joint = list(map(mul, instance._prior, scheme._rows[s]))
+    return _posterior(instance, scheme._rows[scheme.signal_index(signal)], signal)
+
+
+def _posterior(instance: Instance, row: Sequence[float], signal) -> Belief:
+    """``bayes_posterior`` for the signal whose conditional row is ``row``,
+    a sequence of floats over the instance's states."""
+    joint = list(map(mul, instance._prior, row))
     total = _fsum(joint)
     if total <= ZERO_MASS:
         raise ZeroProbabilitySignal(f"signal {signal!r} has probability {total}")
     # Nonnegative entries over their positive total: a belief by construction.
-    return Belief._trusted(np.array([p / total for p in joint]))
+    return Belief._trusted([p / total for p in joint])
 
 
 def biased_belief(prior: Belief, posterior: Belief, w: float) -> Belief:
     """Mix posterior and prior: weight ``w`` on the prior, ``1 - w`` on the update."""
     _check_level(w)
-    if prior.probs.shape != posterior.probs.shape:
+    if len(prior._floats) != len(posterior._floats):
         raise ShapeMismatch("prior and posterior have different dimensions")
     keep = 1.0 - w
     # A convex mix of two beliefs of one dimension is a belief.
-    return Belief._trusted(np.array([w * p + keep * q for p, q in zip(prior.probs.tolist(), posterior.probs.tolist())]))
+    return Belief._trusted([w * p + keep * q for p, q in zip(prior._floats, posterior._floats)])
 
 
 class BestResponse(NamedTuple):
@@ -495,7 +513,7 @@ def best_response(
     add the terms.
     """
     _check_states(instance, belief.dim, "belief")
-    probs = belief.probs.tolist()
+    probs = belief._floats
     eu = [_fsum(row, probs) for row in instance._rows]
     floor = max(eu) - ATOL
     tied = [a for a, value in enumerate(eu) if value >= floor]
@@ -522,7 +540,7 @@ def splitting_check(instance: Instance, scheme: SignalingScheme) -> float:
     _check_states(instance, scheme.n_states, "scheme")
     sent = [(p, s) for s, p in enumerate(scheme.signal_probs(instance.prior).tolist()) if p > ZERO_MASS]
     weights = [p for p, _ in sent]
-    posteriors = [bayes_posterior(instance, scheme, scheme.signals[s]).probs.tolist() for _, s in sent]
+    posteriors = [bayes_posterior(instance, scheme, scheme.signals[s])._floats for _, s in sent]
     recon = [_fsum(weights, [post[t] for post in posteriors]) for t in range(instance.n_states)]
     return max(abs(r - m) for r, m in zip(recon, instance._prior))
 

@@ -328,7 +328,7 @@ def design_scheme(instance: Instance, tau: float) -> DesignResult:
     value, x = solve_lp(build_lp(instance, tau))
     # solve_lp's solution is clipped nonnegative and holds every distribution
     # row to ATOL: a scheme by construction.
-    return _design_result(instance, tau, value, x.reshape(instance.n_actions, instance.n_states))
+    return _design_result(instance, tau, _p_star(tau, value), x.reshape(instance.n_actions, instance.n_states))
 
 
 def _check_testable(instance: Instance, tau: float) -> None:
@@ -343,29 +343,42 @@ def _check_testable(instance: Instance, tau: float) -> None:
 def _useful_mass(value: float) -> float | None:
     """p* of a design optimum ``value``: trimmed of rounding excess above 1,
     and None, untestable, at or below ``ATOL``.  ``design_scheme``,
-    ``_knapsack_design`` and ``classify`` all read p* through here."""
+    ``_knapsack_rows`` and ``classify`` all read p* through here."""
     return min(value, 1.0) if value > ATOL else None
 
 
-def _design_result(instance: Instance, tau: float, value: float, cond: np.ndarray, rows=None) -> DesignResult:
-    """Wrap an optimum and its conditionals, one row per action, which must
-    form a scheme by construction (``rows``: the same as tuples of floats,
-    when the caller has them).  p* is ``_useful_mass(value)``; raises
-    Untestable when that is None."""
+def _p_star(tau: float, value: float) -> float:
+    """``_useful_mass(value)`` of a design for ``tau``; raises Untestable
+    when that is None."""
     useful_mass = _useful_mass(value)
     if useful_mass is None:
         raise Untestable(tau)
+    return useful_mass
+
+
+def _design_result(instance: Instance, tau: float, p_star: float, cond: np.ndarray, rows=None) -> DesignResult:
+    """Wrap p* and its conditionals, one row per action, which must form a
+    scheme by construction (``rows``: the same as tuples of floats, when
+    the caller has them)."""
     # The instance's action labels are unique, so the scheme needs no checks.
     return DesignResult(
         scheme=SignalingScheme._trusted(instance.actions, cond, rows),
-        useful_mass=useful_mass,
-        sample_complexity=1.0 / useful_mass,
+        useful_mass=p_star,
+        sample_complexity=1.0 / p_star,
         threshold=tau,
     )
 
 
 def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
-    """``design_scheme`` for a two-action instance, solved in closed form.
+    """``design_scheme`` for a two-action instance, solved in closed form
+    by ``_knapsack_rows``."""
+    p_star, rows = _knapsack_rows(instance, tau)
+    return _design_result(instance, tau, p_star, np.array(rows), rows)
+
+
+def _knapsack_rows(instance: Instance, tau: float) -> tuple:
+    """p* and the conditionals, one tuple of floats per action, of
+    ``design_scheme``'s design for a two-action instance, in closed form.
 
     With one non-default action a, ``build_lp``'s LP is a continuous
     knapsack with one equality (Dantzig 1957): maximize mu0 @ pi subject to
@@ -405,9 +418,8 @@ def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
         raise Numerical("equality residual above tolerance")
     if not -_fsum(row, rest) >= -ATOL:
         raise Numerical("inequality residual above tolerance")
-    rows = (tuple(pi), tuple(rest)) if a == 0 else (tuple(rest), tuple(pi))
     # Both rows lie in [0, 1] and sum to one per state: a scheme by construction.
-    return _design_result(instance, tau, _fsum(mu0, pi), np.array(rows), rows)
+    return _p_star(tau, _fsum(mu0, pi)), ((tuple(pi), tuple(rest)) if a == 0 else (tuple(rest), tuple(pi)))
 
 
 # Signals lighter than this are skipped by the biased-belief indifference

@@ -12,9 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .agent import BiasedAgent, agent_act, episode_sampler
-from .core import ZERO_MASS, Instance, SignalingScheme, _bisect
-from .design import _knapsack_design, design_scheme
+from .agent import BiasedAgent, _respond, _sampler
+from .core import ZERO_MASS, Instance, SignalingScheme, _bisect, _check_states
+from .design import _knapsack_rows, design_scheme
 from .errors import DegenerateParameters, NothingTestable, ShapeMismatch, Timeout
 from .geometry import testable_range
 
@@ -111,9 +111,10 @@ def _first_horizon(log_miss: float, log_delta: float) -> int:
     return t
 
 
-def _threshold_tests(instance, scheme, is_useful, agent, rng, max_steps, trials, record_trace=False) -> list:
-    """Run ``trials`` successive threshold tests on one scheme; return the
-    ``ThresholdVerdict`` of each.
+def _threshold_tests(instance, rows, signals, is_useful, agent, rng, max_steps, trials, record_trace=False) -> list:
+    """Run ``trials`` successive threshold tests on one scheme, given by its
+    rows (sequences of floats over the states, one per signal) and signal
+    labels; return the ``ThresholdVerdict`` of each.
 
     ``is_useful`` flags the useful signals by index.  The callers have
     checked their inputs, so nothing is checked again here.  The sampler is
@@ -121,13 +122,12 @@ def _threshold_tests(instance, scheme, is_useful, agent, rng, max_steps, trials,
     and agent, is computed when an episode first needs it.  With
     ``record_trace`` each verdict keeps its episodes.
     """
-    signals = scheme.signals
-    draw = episode_sampler(instance, scheme)
+    draw = _sampler(instance, rows)
     responses = {}  # signal index -> the agent's action
 
     def respond(s: int) -> str:
         if s not in responses:
-            responses[s] = agent_act(agent, instance, scheme, signals[s])
+            responses[s] = _respond(agent, instance, rows[s], signals[s])
         return responses[s]
 
     results = []
@@ -173,31 +173,33 @@ def threshold_test_on_scheme(
     unknown = useful.difference(scheme.signals)
     if unknown:
         raise ShapeMismatch(f"unknown signal {', '.join(sorted(map(repr, unknown)))}")
+    _check_states(instance, scheme.n_states, "scheme")
     is_useful = [s in useful for s in scheme.signals]
-    return _threshold_tests(instance, scheme, is_useful, agent, rng, max_steps, 1, record_trace)[0]
+    return _threshold_tests(instance, scheme._rows, scheme.signals, is_useful, agent, rng, max_steps, 1, record_trace)[0]
 
 
 def _test_plan(instance: Instance, tau: float, max_steps: int | None) -> tuple:
-    """Design the scheme for ``tau``; return the design, its useful-signal
-    mask (the non-default recommendations that are ever sent) and the step
-    budget.  A two-action design is solved in closed form, any other by the
-    LP."""
+    """Design the scheme for ``tau``; return its p*, its rows (tuples of
+    floats, one per action), its useful-signal mask (the non-default
+    recommendations that are ever sent) and the step budget.  A two-action
+    design is solved in closed form, any other by the LP."""
     d = instance.default_index
     if instance.n_actions == 2:
-        design = _knapsack_design(instance, tau)
-        # The design's p* exceeds ATOL, and the non-default signal's mass
-        # equals p* up to rounding, far above ZERO_MASS: that signal is the
-        # useful one, and no second product with the prior is needed.
+        p_star, rows = _knapsack_rows(instance, tau)
+        # p* exceeds ATOL, and the non-default signal's mass equals p* up to
+        # rounding, far above ZERO_MASS: that signal is the useful one, and
+        # no second product with the prior is needed.
         is_useful = [a != d for a in range(2)]
     else:
         design = design_scheme(instance, tau)
+        p_star, rows = design.useful_mass, design.scheme._rows
         probs = design.scheme.signal_probs(instance.prior)
         is_useful = [a != d and p > ZERO_MASS for a, p in enumerate(probs)]
     if max_steps is None:
-        max_steps = _exact_horizon(design.useful_mass, _LOG_TIMEOUT_DELTA)
+        max_steps = _exact_horizon(p_star, _LOG_TIMEOUT_DELTA)
     elif max_steps < 1:
         raise DegenerateParameters(f"max_steps={max_steps}")
-    return design, is_useful, max_steps
+    return p_star, rows, is_useful, max_steps
 
 
 def threshold_test(
@@ -214,8 +216,8 @@ def threshold_test(
     non-default recommendations.  Raises Untestable when the threshold
     cannot be tested at all.
     """
-    design, is_useful, max_steps = _test_plan(instance, tau, max_steps)
-    return _threshold_tests(instance, design.scheme, is_useful, agent, rng, max_steps, 1, record_trace)[0]
+    _, rows, is_useful, max_steps = _test_plan(instance, tau, max_steps)
+    return _threshold_tests(instance, rows, instance.actions, is_useful, agent, rng, max_steps, 1, record_trace)[0]
 
 
 def empirical_sample_complexity(
@@ -240,12 +242,12 @@ def _sample_complexity(instance, tau, agent, rng, trials) -> tuple[ComplexityEst
     """``empirical_sample_complexity`` plus the expected test length of its design."""
     if trials < 1:
         raise DegenerateParameters(f"trials={trials}")
-    design, is_useful, max_steps = _test_plan(instance, tau, None)
-    tests = _threshold_tests(instance, design.scheme, is_useful, agent, rng, max_steps, trials)
+    p_star, rows, is_useful, max_steps = _test_plan(instance, tau, None)
+    tests = _threshold_tests(instance, rows, instance.actions, is_useful, agent, rng, max_steps, trials)
     steps = np.array([test.steps for test in tests], dtype=float)
     mean = float(steps.mean())
     stderr = float(steps.std(ddof=1) / math.sqrt(trials)) if trials > 1 else None
-    return ComplexityEstimate(mean=mean, stderr=stderr), design.sample_complexity
+    return ComplexityEstimate(mean=mean, stderr=stderr), 1.0 / p_star
 
 
 def estimate_bias(
@@ -259,16 +261,17 @@ def estimate_bias(
     Searches [0, tau_max], halving until the bracket is at most ``epsilon``
     wide or consists of two adjacent doubles, the finest bracket floats can
     hold.  Each query is one threshold test: one design for its threshold,
-    the episodes until a useful signal lands and one response of the agent;
-    the instance's own tables (utility gaps, the prior's cumulative sum and,
-    with two actions, the design row's utility difference) were built once
-    when it was validated.  When every answer says "at or above" the level
-    may lie beyond the testable range, so the interval is censored to
-    [lo, 1]; the bracket is censored only then.  If the requested width
-    already covers the whole searchable range, a single query at tau_max
-    settles which side applies.  Raises NothingTestable when no threshold
-    is testable at all; an Untestable query propagates like any other
-    error.
+    the episodes until a useful signal lands and one response of the agent.
+    With two actions the design is the closed form's p* and rows of floats,
+    and no scheme, design result or belief array is built; the instance's
+    own tables (the prior, the utility and gap rows as floats and the
+    prior's cumulative sum) were built once when it was validated.  When
+    every answer says "at or above" the level may lie beyond the testable
+    range, so the interval is censored to [lo, 1]; the bracket is censored
+    only then.  If the requested width already covers the whole searchable
+    range, a single query at tau_max settles which side applies.  Raises
+    NothingTestable when no threshold is testable at all; an Untestable
+    query propagates like any other error.
 
     The agent treats expected utilities within ``ATOL`` as tied and then
     keeps the default action, so thresholds slightly above the level also

@@ -283,7 +283,7 @@ def test_simulate_designs_once(tmp_path, monkeypatch):
     import biaslab.detector
 
     calls = []
-    for name in ("_knapsack_design", "design_scheme"):
+    for name in ("_knapsack_rows", "design_scheme"):
 
         def counting(*args, design=getattr(biaslab.detector, name), name=name):
             calls.append(name)
@@ -296,7 +296,7 @@ def test_simulate_designs_once(tmp_path, monkeypatch):
         "prior": [0.5, 0.5],
         "utility": [[0.1, 0.1], [1.0, -1.0], [-1.0, 1.0]],
     }
-    for instance, route in ((_twostate(), "_knapsack_design"), (three_action, "design_scheme")):
+    for instance, route in ((_twostate(), "_knapsack_rows"), (three_action, "design_scheme")):
         calls.clear()
         path = tmp_path / f"{route}.json"
         path.write_text(json.dumps(instance), encoding="utf-8")

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -59,6 +60,57 @@ class TestBelief:
         b = Belief(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             b.probs[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "probs, error, message",
+        [
+            ([[0.5, 0.5]], ShapeMismatch, "belief must be a nonempty 1-D vector"),
+            ([], ShapeMismatch, "belief must be a nonempty 1-D vector"),
+            ([0.5, math.nan], ValueError, "belief has a non-finite entry"),
+            ([-0.1, 1.1], ValueError, "belief has a negative entry -0.1"),
+            ([0.5, 0.6], ValueError, "belief must sum to 1, got 1.1"),
+        ],
+    )
+    def test_errors_and_messages(self, probs, error, message):
+        with pytest.raises(error) as info:
+            Belief(probs)
+        assert str(info.value) == message
+
+    def test_frozen(self):
+        b = Belief([0.5, 0.5])
+        with pytest.raises(FrozenInstanceError):
+            b.probs = np.array([1.0, 0.0])
+        with pytest.raises(FrozenInstanceError):
+            del b.probs
+
+    def test_derived_probs_built_once_from_the_floats(self, twostate_instance):
+        inst = twostate_instance
+        scheme = SignalingScheme(signals=("a", "b"), cond=[[0.7, 0.1], [0.3, 0.9]])
+        posterior = bayes_posterior(inst, scheme, "a")
+        derived = {
+            "posterior": posterior,
+            "biased": biased_belief(inst.prior, posterior, 0.3),
+            "warped": bl.WarpedLinear(gamma=2.0).evaluate(inst.prior, posterior, 0.6),
+            "prior": make_instance(["G", "B"], ["x", "y"], [0.2, 0.8], [[1.0, -1.0], [0.0, 0.0]]).prior,
+        }
+        for name, belief in derived.items():
+            floats = list(belief)
+            assert all(type(x) is float for x in floats), name
+            probs = belief.probs
+            assert probs.dtype == np.float64 and not probs.flags.writeable, name
+            assert probs.tobytes() == np.array(floats).tobytes(), name
+            assert belief.probs is probs, name
+
+    def test_probs_bits_do_not_depend_on_the_reading_thread(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(5)
+        beliefs = [Belief._trusted(list(rng.dirichlet(np.ones(7)).tolist())) for _ in range(200)]
+        expected = [np.array(list(b)).tobytes() for b in beliefs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            reads = list(pool.map(lambda b: b.probs, beliefs * 4))
+        assert [r.tobytes() for r in reads] == expected * 4
+        assert all(r is b.probs for r, b in zip(reads, beliefs * 4))
 
 
 class TestValidateInstance:

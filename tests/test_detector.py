@@ -465,3 +465,62 @@ def test_three_action_search_near_tau_max():
     )
     iv = estimate_bias(inst, BiasedAgent(w=0.77), 1e-9, np.random.default_rng(0))
     assert iv.censored and iv.hi == 1.0 and iv.lo <= bl.testable_range(inst) < 0.77
+
+
+class TestTwoActionQueriesBuildNoArrays:
+    """A two-action query runs on Python floats from the design to the
+    verdict: it builds no scheme, no design result and no belief array."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import biaslab.core
+        import biaslab.design
+
+        counts = {"schemes": 0, "designs": 0, "beliefs": []}
+        trusted_scheme, trusted_belief = SignalingScheme._trusted.__func__, bl.Belief._trusted.__func__
+        scheme_init, design_init = SignalingScheme.__init__, biaslab.design.DesignResult.__init__
+
+        def count_scheme(cls, *args, **kwargs):
+            counts["schemes"] += 1
+            return trusted_scheme(cls, *args, **kwargs)
+
+        def count_scheme_init(self, *args, **kwargs):
+            counts["schemes"] += 1
+            scheme_init(self, *args, **kwargs)
+
+        def count_design(self, *args, **kwargs):
+            counts["designs"] += 1
+            design_init(self, *args, **kwargs)
+
+        def keep_belief(cls, floats):
+            belief = trusted_belief(cls, floats)
+            counts["beliefs"].append(belief)
+            return belief
+
+        monkeypatch.setattr(SignalingScheme, "_trusted", classmethod(count_scheme))
+        monkeypatch.setattr(SignalingScheme, "__init__", count_scheme_init)
+        monkeypatch.setattr(biaslab.design.DesignResult, "__init__", count_design)
+        monkeypatch.setattr(biaslab.core.Belief, "_trusted", classmethod(keep_belief))
+        return counts
+
+    @pytest.mark.parametrize("tiebreak", list(TieBreak))
+    @pytest.mark.parametrize("bias_fn", [LinearBias(), WarpedLinear(gamma=2.0)], ids=["linear", "warped"])
+    def test_estimate_and_threshold_test(self, counts, bias_fn, tiebreak):
+        rng = np.random.default_rng(3)
+        for k in range(3):
+            inst = random_instance(rng, n_states=2 + k, n_actions=2)
+            while bl.testable_range(inst) <= 0.05:
+                inst = random_instance(rng, n_states=2 + k, n_actions=2)
+            agent = BiasedAgent(w=0.4, bias_fn=bias_fn, tiebreak=tiebreak)
+            iv = estimate_bias(inst, agent, 1e-9, rng)
+            tau = 0.5 * bl.testable_range(inst)
+            verdicts = [threshold_test(inst, tau, agent, rng, record_trace=trace) for trace in (False, True)]
+            assert iv.queries > 0 and all(v.steps >= 1 for v in verdicts)
+            assert not any("probs" in vars(belief) for belief in [inst.prior, *counts["beliefs"]])
+        assert counts["schemes"] == counts["designs"] == 0
+        assert len(counts["beliefs"]) > 0
+
+    def test_three_actions_still_design_a_scheme(self, counts, symmetric3_instance):
+        agent = BiasedAgent(w=0.4)
+        threshold_test(symmetric3_instance, 0.3, agent, np.random.default_rng(0))
+        assert counts["schemes"] == counts["designs"] == 1

@@ -4,7 +4,9 @@ The estimator values were computed before the threshold-test fast path was
 written, and the design, LP and threshold-test values before the two-action
 query moved its small-vector steps to Python floats.  The design and LP
 values were regenerated once, when every sum that reaches an output became
-a correctly rounded ``math.fsum``.  All are compared through ``float.hex``,
+a correctly rounded ``math.fsum``.  The tie-break estimates were computed
+before beliefs kept their entries as floats and two-action queries stopped
+building a scheme.  All are compared through ``float.hex``,
 so later speed work cannot change an answer silently.  Regenerating them
 is a deliberate behaviour change.
 """
@@ -15,8 +17,10 @@ import numpy as np
 import pytest
 
 from biaslab import (
+    Belief,
     BiasedAgent,
     LinearBias,
+    TieBreak,
     WarpedLinear,
     build_lp,
     estimate_bias,
@@ -560,3 +564,133 @@ def test_threshold_test_pinned(name, symmetric3_instance):
         agent = BiasedAgent(w=float(level) * tau)
         v = threshold_test(inst, tau, agent, np.random.default_rng(int(seed)), record_trace=True)
         assert [v.verdict, str(v.steps), ",".join(signal for _, signal, _ in v.trace)] == expected, row
+
+
+class SqrtLevelMix:
+    """A bias model written outside the package: it reads both beliefs'
+    ``probs`` arrays and returns a checked ``Belief(...)``."""
+
+    name = "sqrt-mix"
+
+    def evaluate(self, prior, posterior, w):
+        level = np.sqrt(w)
+        return Belief(level * prior.probs + (1.0 - level) * posterior.probs)
+
+
+TIE_MODELS = {**MODELS, "sqrt-mix": SqrtLevelMix()}
+
+
+def _tie_instances() -> dict:
+    """The canonical instance, the first random 3x2 one and the mirror-image
+    three-action instance."""
+    instances = _instances()
+    symmetric3 = make_instance(["G", "B"], ["a0", "a1", "a2"], [0.5, 0.5], [[0.1, 0.1], [1.0, -1.0], [-1.0, 1.0]])
+    return {"canonical": instances["canonical"], "random0": instances["random0"], "symmetric3": symmetric3}
+
+
+# instance, bias model, tie-break, w as a multiple of tau_max -> lo, hi
+# (float.hex), queries, censored, or the error raised; all at epsilon 1e-12,
+# where the last queries fall inside the agent's tie band.  Case k runs on
+# np.random.default_rng(1000 + k), k counting lines from 0.
+TIE_ESTIMATES = """
+canonical linear prefer-default 0 0x1.ca20000000000p-30 0x1.ca48000000000p-30 40 0
+canonical linear prefer-default 0.5 0x1.40000013ad800p-2 0x1.40000013b0000p-2 40 0
+canonical linear prefer-default 1 0x1.3ffffffffec00p-1 0x1.0000000000000p+0 40 1
+canonical linear prefer-nondefault 0 0x0.0p+0 0x1.4000000000000p-41 40 0
+canonical linear prefer-nondefault 0.5 0x1.3fffffec50000p-2 0x1.3fffffec52800p-2 40 0
+canonical linear prefer-nondefault 1 0x1.3fffffefe4400p-1 0x1.3fffffefe5800p-1 40 0
+canonical linear fixed-order 0 0x0.0p+0 0x1.4000000000000p-41 40 0
+canonical linear fixed-order 0.5 0x1.3fffffec50000p-2 0x1.3fffffec52800p-2 40 0
+canonical linear fixed-order 1 0x1.3fffffefe4400p-1 0x1.3fffffefe5800p-1 40 0
+canonical warped prefer-default 0 0x1.ca20000000000p-30 0x1.ca48000000000p-30 40 0
+canonical warped prefer-default 0.5 0x1.9000006752000p-4 0x1.900000675c000p-4 40 0
+canonical warped prefer-default 1 0x1.9000001171000p-2 0x1.9000001173800p-2 40 0
+canonical warped prefer-nondefault 0 0x0.0p+0 0x1.4000000000000p-41 40 0
+canonical warped prefer-nondefault 0.5 0x1.8fffff98a4000p-4 0x1.8fffff98ae000p-4 40 0
+canonical warped prefer-nondefault 1 0x1.8fffffee8c800p-2 0x1.8fffffee8f000p-2 40 0
+canonical warped fixed-order 0 0x0.0p+0 0x1.4000000000000p-41 40 0
+canonical warped fixed-order 0.5 0x1.8fffff98a4000p-4 0x1.8fffff98ae000p-4 40 0
+canonical warped fixed-order 1 0x1.8fffffee8c800p-2 0x1.8fffffee8f000p-2 40 0
+canonical sqrt-mix prefer-default 0 0x1.ca20000000000p-30 0x1.ca48000000000p-30 40 0
+canonical sqrt-mix prefer-default 0.5 0x1.1e3779bfcf000p-1 0x1.1e3779bfd0400p-1 40 0
+canonical sqrt-mix prefer-default 1 0x1.3ffffffffec00p-1 0x1.0000000000000p+0 40 1
+canonical sqrt-mix prefer-nondefault 0 0x0.0p+0 0x1.4000000000000p-41 40 0
+canonical sqrt-mix prefer-nondefault 0.5 0x1.1e3779b32e800p-1 0x1.1e3779b32fc00p-1 40 0
+canonical sqrt-mix prefer-nondefault 1 0x1.3ffffffffec00p-1 0x1.0000000000000p+0 40 1
+canonical sqrt-mix fixed-order 0 0x0.0p+0 0x1.4000000000000p-41 40 0
+canonical sqrt-mix fixed-order 0.5 0x1.1e3779b32e800p-1 0x1.1e3779b32fc00p-1 40 0
+canonical sqrt-mix fixed-order 1 0x1.3ffffffffec00p-1 0x1.0000000000000p+0 40 1
+random0 linear prefer-default 0 0x1.27d9eecaf90f6p-30 0x1.281370d21fee5p-30 38 0
+random0 linear prefer-default 0.5 0x1.cc1039789e6cep-4 0x1.cc103978accd6p-4 38 0
+random0 linear prefer-default 1 0x1.cc103936f08c0p-3 0x1.0000000000000p+0 38 1
+random0 linear prefer-nondefault 0 0x0.0p+0 0x1.cc103936f7bc4p-41 38 0
+random0 linear prefer-nondefault 0.5 0x1.cc1038f542ab2p-4 0x1.cc1038f5510bap-4 38 0
+random0 linear prefer-nondefault 1 0x1.cc1038c1dfbb4p-3 0x1.cc1038c1e6eb8p-3 38 0
+random0 linear fixed-order 0 0x1.27d9eecaf90f6p-30 0x1.281370d21fee5p-30 38 0
+random0 linear fixed-order 0.5 0x1.cc1039789e6cep-4 0x1.cc103978accd6p-4 38 0
+random0 linear fixed-order 1 0x1.cc103936f08c0p-3 0x1.0000000000000p+0 38 1
+random0 warped prefer-default 0 0x1.27d9eecaf90f6p-30 0x1.281370d21fee5p-30 38 0
+random0 warped prefer-default 0.5 0x1.9d65299aea045p-7 0x1.9d65299b5d086p-7 38 0
+random0 warped prefer-default 1 0x1.9d6527dee99c2p-5 0x1.9d6527df065d2p-5 38 0
+random0 warped prefer-nondefault 0 0x0.0p+0 0x1.cc103936f7bc4p-41 38 0
+random0 warped prefer-nondefault 0.5 0x1.9d6525096fc6ep-7 0x1.9d652509e2cafp-7 38 0
+random0 warped prefer-nondefault 1 0x1.9d6526c5c6723p-5 0x1.9d6526c5e3334p-5 38 0
+random0 warped fixed-order 0 0x1.27d9eecaf90f6p-30 0x1.281370d21fee5p-30 38 0
+random0 warped fixed-order 0.5 0x1.9d65299aea045p-7 0x1.9d65299b5d086p-7 38 0
+random0 warped fixed-order 1 0x1.9d6527dee99c2p-5 0x1.9d6527df065d2p-5 38 0
+random0 sqrt-mix prefer-default 0 0x1.27d9eecaf90f6p-30 0x1.281370d21fee5p-30 38 0
+random0 sqrt-mix prefer-default 0.5 0x1.cc103936f08c0p-3 0x1.0000000000000p+0 38 1
+random0 sqrt-mix prefer-default 1 0x1.cc103936f08c0p-3 0x1.0000000000000p+0 38 1
+random0 sqrt-mix prefer-nondefault 0 0x0.0p+0 0x1.cc103936f7bc4p-41 38 0
+random0 sqrt-mix prefer-nondefault 0.5 0x1.cc103936f08c0p-3 0x1.0000000000000p+0 38 1
+random0 sqrt-mix prefer-nondefault 1 0x1.cc103936f08c0p-3 0x1.0000000000000p+0 38 1
+random0 sqrt-mix fixed-order 0 0x1.27d9eecaf90f6p-30 0x1.281370d21fee5p-30 38 0
+random0 sqrt-mix fixed-order 0.5 0x1.cc103936f08c0p-3 0x1.0000000000000p+0 38 1
+random0 sqrt-mix fixed-order 1 0x1.cc103936f08c0p-3 0x1.0000000000000p+0 38 1
+symmetric3 linear prefer-default 0 0x1.5793333333332p-27 0x1.579a666666665p-27 40 0
+symmetric3 linear prefer-default 0.5 0x1.cccccd2b49332p-2 0x1.cccccd2b4ccccp-2 40 0
+symmetric3 linear prefer-default 1 0x1.cccccccccafffp-1 0x1.0000000000000p+0 40 1
+symmetric3 linear prefer-nondefault 0 0x0.0p+0 0x1.cccccccccccccp-41 40 0
+symmetric3 linear prefer-nondefault 0.5 0x1.cccccc6e4ccccp-2 0x1.cccccc6e50666p-2 40 0
+symmetric3 linear prefer-nondefault 1 0x1.ccccccc435332p-1 0x1.ccccccc436fffp-1 40 0
+symmetric3 linear fixed-order 0 0x1.5793333333332p-27 0x1.579a666666665p-27 40 0
+symmetric3 linear fixed-order 0.5 0x1.cccccd2b49332p-2 0x1.cccccd2b4ccccp-2 40 0
+symmetric3 linear fixed-order 1 0x1.cccccccccafffp-1 0x1.0000000000000p+0 40 1
+symmetric3 warped prefer-default 0 0x1.5793333333332p-27 0x1.579a666666665p-27 40 0
+symmetric3 warped prefer-default 0.5 0x1.9eb852fd86662p-3 0x1.9eb852fd8d995p-3 40 0
+symmetric3 warped prefer-default 1 0x1.9eb851fbd632dp-1 0x1.9eb851fbd7ffap-1 40 0
+symmetric3 warped prefer-nondefault 0 0x0.0p+0 0x1.cccccccccccccp-41 40 0
+symmetric3 warped prefer-nondefault 0.5 0x1.9eb850d97b32ep-3 0x1.9eb850d982661p-3 40 0
+symmetric3 warped prefer-nondefault 1 0x1.9eb851db32994p-1 0x1.9eb851db34660p-1 40 0
+symmetric3 warped fixed-order 0 0x1.5793333333332p-27 0x1.579a666666665p-27 40 0
+symmetric3 warped fixed-order 0.5 0x1.9eb852fd86662p-3 0x1.9eb852fd8d995p-3 40 0
+symmetric3 warped fixed-order 1 0x1.9eb851fbd632dp-1 0x1.9eb851fbd7ffap-1 40 0
+symmetric3 sqrt-mix prefer-default 0 0x1.5793333333332p-27 0x1.579a666666665p-27 40 0
+symmetric3 sqrt-mix prefer-default 0.5 0x1.5775c56144999p-1 0x1.5775c56146666p-1 40 0
+symmetric3 sqrt-mix prefer-default 1 0x1.cccccccccafffp-1 0x1.0000000000000p+0 40 1
+symmetric3 sqrt-mix prefer-nondefault 0 0x0.0p+0 0x1.cccccccccccccp-41 40 0
+symmetric3 sqrt-mix prefer-nondefault 0.5 0x1.5775c528b7332p-1 0x1.5775c528b8fffp-1 40 0
+symmetric3 sqrt-mix prefer-nondefault 1 0x1.cccccccccafffp-1 0x1.0000000000000p+0 40 1
+symmetric3 sqrt-mix fixed-order 0 0x1.5793333333332p-27 0x1.579a666666665p-27 40 0
+symmetric3 sqrt-mix fixed-order 0.5 0x1.5775c56144999p-1 0x1.5775c56146666p-1 40 0
+symmetric3 sqrt-mix fixed-order 1 0x1.cccccccccafffp-1 0x1.0000000000000p+0 40 1
+"""
+
+
+def _tie_estimate(name, model, tiebreak, f, k, instances) -> list:
+    inst = instances[name]
+    agent = BiasedAgent(w=float(f) * tau_max(inst), bias_fn=TIE_MODELS[model], tiebreak=TieBreak(tiebreak))
+    try:
+        iv = estimate_bias(inst, agent, 1e-12, np.random.default_rng(1000 + k))
+    except Exception as exc:  # noqa: BLE001 - the error is part of the pinned output
+        return [type(exc).__name__]
+    return [iv.lo.hex(), iv.hi.hex(), str(iv.queries), str(int(iv.censored))]
+
+
+def test_estimate_bias_tiebreaks_pinned():
+    instances = _tie_instances()
+    rows = TIE_ESTIMATES.split("\n")[1:-1]
+    assert len(rows) == 81
+    for k, row in enumerate(rows):
+        name, model, tiebreak, f, *expected = row.split()
+        assert _tie_estimate(name, model, tiebreak, f, k, instances) == expected, row
