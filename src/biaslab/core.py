@@ -13,7 +13,7 @@ from validated ones are valid by construction and skip the checks.
 import json
 import math
 import numbers
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
@@ -126,14 +126,31 @@ def _label_index(labels: tuple, label, kind: str) -> int:
         raise ShapeMismatch(f"unknown {kind} {label!r}") from None
 
 
-class Belief:
+class _Frozen:
+    """Immutable after construction, like a frozen dataclass: constructors
+    fill ``__dict__`` directly, and every assignment or deletion raises
+    FrozenInstanceError.  ``repr`` shows the ``_repr_fields`` in order, as
+    a dataclass's does."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Belief(_Frozen):
     """A probability vector over states.
 
     Entries are nonnegative and sum to one within ``ATOL``.  Negative noise
     within tolerance is clipped to zero at construction.  The entries are
     kept as Python floats, which every library step reads; ``probs``, a
     read-only float64 array of them, is built the first time it is read
-    and then kept.  Immutable, like a frozen dataclass.
+    and then kept.  Copies and pickles carry the floats only.
     """
 
     def __init__(self, probs):
@@ -156,16 +173,13 @@ class Belief:
         belief.__dict__["_floats"] = floats
         return belief
 
+    def __reduce__(self):
+        return self._trusted, (self._floats,)
+
     @cached_property
     def probs(self) -> np.ndarray:
         # The same floats give the same bits, whichever thread builds it.
         return _frozen(self._floats)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def dim(self) -> int:
@@ -196,8 +210,7 @@ class TieBreak(Enum):
     FIXED_ORDER = "fixed-order"
 
 
-@dataclass(frozen=True, eq=False)
-class Instance:
+class Instance(_Frozen):
     """A decision problem: states, actions, prior, and a payoff matrix.
 
     ``utility`` has one row per action and one column per state.  The
@@ -206,62 +219,66 @@ class Instance:
     prior; otherwise construction raises NoUniqueDefault.  Construct
     instances through :func:`validate_instance`, which picks the default by
     expected utility and checks the input.
-    The derived tables below are built once, here; they hold nothing
-    specific to two actions, and the design rows of every instance are
-    formed from the prior and the utility rows.
+    The instance keeps its numbers as Python floats, and the derived tables
+    below are built once, here; they hold nothing specific to two actions,
+    and the design rows of every instance are formed from the prior and the
+    utility rows.  ``utility`` and ``gaps`` are read-only arrays built from
+    the floats the first time they are read.  Copies and pickles carry the
+    constructor's arguments only.
     """
 
-    states: tuple
-    actions: tuple
-    prior: Belief
-    utility: np.ndarray
-    default_action: str
-    # The default's lead over the runner-up: the smallest value at the prior
-    # of a row of ``gaps``.  Derived; above ATOL, or construction raises.
-    prior_margin: float = field(init=False)
-    # Default-minus-action utility gaps, one row per non-default action in
-    # action order; each row is positive at the prior.  Derived, read-only.
-    gaps: np.ndarray = field(init=False, repr=False)
-    # The prior, the utility rows and the gap rows as tuples of Python
-    # floats, the operands of every small-vector step.  Derived, immutable.
-    _prior: tuple = field(init=False, repr=False)
-    _rows: tuple = field(init=False, repr=False)
-    _gap_rows: tuple = field(init=False, repr=False)
-    # Cumulative prior over states, the inverse-CDF table of every episode.
-    _state_cdf: tuple = field(init=False, repr=False)
-    # Per non-default action, in action order: the largest threshold at
-    # which its shifted indifference hyperplane still meets the simplex.
-    # Their maximum is the testable range, the one rule every testability
-    # question reads.
-    _thresholds: tuple = field(init=False, repr=False)
-    _tau_max: float = field(init=False, repr=False)
+    _repr_fields = ("states", "actions", "prior", "utility", "default_action", "prior_margin")
 
-    def __post_init__(self):
-        object.__setattr__(self, "utility", _frozen(self.utility))
-        prior = self.prior._floats
-        rows = tuple(map(tuple, self.utility.tolist()))
-        d = self.default_index
+    def __init__(self, states, actions, prior: Belief, utility, default_action: str):
+        prior_floats = prior._floats
+        # The utility rows as tuples of Python floats, the operands of every
+        # small-vector step.
+        rows = tuple(tuple(map(float, row)) for row in utility)
+        d = actions.index(default_action)
+        # Default-minus-action utility gaps, one row per non-default action
+        # in action order; each row is positive at the prior.
         gap_rows = tuple(tuple(x - y for x, y in zip(rows[d], row)) for a, row in enumerate(rows) if a != d)
-        object.__setattr__(self, "_prior", prior)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_gap_rows", gap_rows)
-        object.__setattr__(self, "gaps", _frozen(gap_rows))
-        # The same additions in the same order as numpy's cumsum.
-        object.__setattr__(self, "_state_cdf", tuple(accumulate(prior)))
         # The default must win strictly at the prior, judged on the same
-        # sums the thresholds divide by.
-        values = [_fsum(gap, prior) for gap in gap_rows]
+        # sums the thresholds divide by.  Its lead over the runner-up, the
+        # smallest of them, is ``prior_margin``.
+        values = [_fsum(gap, prior_floats) for gap in gap_rows]
         margin = min(values)
         if margin <= ATOL:
             raise NoUniqueDefault(f"top actions tie at the prior (margin {margin:.3g} <= {ATOL})")
-        object.__setattr__(self, "prior_margin", margin)
         # Per gap row, the reach below zero over the value at the prior,
         # mapped from odds to a threshold.  Odds that overflow to inf map to
-        # the threshold's limit 1, where the mapping would give NaN.
+        # the threshold's limit 1, where the mapping would give NaN.  Each is
+        # the largest threshold at which the action's shifted indifference
+        # hyperplane still meets the simplex; their maximum is the testable
+        # range, the one rule every testability question reads.
         ratios = [max(0.0, -min(gap)) / value for gap, value in zip(gap_rows, values)]
         thresholds = tuple(1.0 if ratio == math.inf else ratio / (1.0 + ratio) for ratio in ratios)
-        object.__setattr__(self, "_thresholds", thresholds)
-        object.__setattr__(self, "_tau_max", max(0.0, *thresholds))
+        self.__dict__.update(
+            states=states,
+            actions=actions,
+            prior=prior,
+            default_action=default_action,
+            prior_margin=margin,
+            _prior=prior_floats,
+            _rows=rows,
+            _gap_rows=gap_rows,
+            # Cumulative prior over states, the inverse-CDF table of every
+            # episode: the same additions in the same order as numpy's cumsum.
+            _state_cdf=tuple(accumulate(prior_floats)),
+            _thresholds=thresholds,
+            _tau_max=max(0.0, *thresholds),
+        )
+
+    def __reduce__(self):
+        return Instance, (self.states, self.actions, self.prior, self._rows, self.default_action)
+
+    @cached_property
+    def utility(self) -> np.ndarray:
+        return _frozen(self._rows)
+
+    @cached_property
+    def gaps(self) -> np.ndarray:
+        return _frozen(self._gap_rows)
 
     @property
     def n_states(self) -> int:
@@ -290,51 +307,51 @@ class Instance:
             "states": list(self.states),
             "actions": list(self.actions),
             "prior": list(self.prior._floats),
-            "utility": [[float(u) for u in row] for row in self.utility],
+            "utility": [list(row) for row in self._rows],
         }
 
 
-@dataclass(frozen=True, eq=False)
-class SignalingScheme:
+class SignalingScheme(_Frozen):
     """Conditional signal distributions, one row per signal.
 
     ``cond[s, t]`` is the probability of sending signal ``s`` in state
-    ``t``; every state column sums to one.
+    ``t``; every state column sums to one.  The scheme keeps its rows as
+    tuples of Python floats, which the episode draw and the Bayes update
+    read; ``cond`` is a read-only array built from them the first time it
+    is read.  Copies and pickles carry the rows only.
     """
 
-    signals: tuple
-    cond: np.ndarray
-    # ``cond``'s rows as tuples of Python floats, which the episode draw
-    # and the Bayes update read.  Derived, immutable.
-    _rows: tuple = field(init=False, repr=False)
+    _repr_fields = ("signals", "cond")
+
+    def __init__(self, signals, cond):
+        self.__dict__.update(signals=signals, _rows=cond)
+        self.__post_init__()
 
     def __post_init__(self):
-        cond = np.array(self.cond, dtype=float)
+        cond = np.array(self._rows, dtype=float)
         signals = tuple(self.signals)
         if cond.ndim != 2 or cond.shape[0] != len(signals):
             raise ShapeMismatch("cond must have one row per signal")
         if len(set(signals)) != len(signals):
             raise ShapeMismatch("signal labels must be unique")
         columns = _check_probabilities(cond, "per-state signal distribution", ValueError, axis=0)
-        rows = tuple(zip(*columns))
-        cond = np.array(rows)
-        cond.setflags(write=False)
-        object.__setattr__(self, "signals", signals)
-        object.__setattr__(self, "cond", cond)
-        object.__setattr__(self, "_rows", rows)
+        self.__dict__.update(signals=signals, _rows=tuple(zip(*columns)))
 
     @classmethod
-    def _trusted(cls, signals: tuple, cond: np.ndarray, rows: tuple | None = None) -> "SignalingScheme":
-        """Wrap unique labels and a float matrix that is a scheme by
-        construction: no copy, no checks.  ``cond`` becomes read-only.
-        ``rows``, when the caller built ``cond`` from them, are its rows as
-        tuples of floats; otherwise they are read off ``cond``."""
-        cond.setflags(write=False)
+    def _trusted(cls, signals: tuple, rows: Sequence) -> "SignalingScheme":
+        """Wrap unique labels and rows of Python floats, one sequence per
+        signal, that are a scheme by construction: no copy, no checks, no
+        array.  The caller hands ``rows`` over and never changes them."""
         scheme = object.__new__(cls)
-        object.__setattr__(scheme, "signals", signals)
-        object.__setattr__(scheme, "cond", cond)
-        object.__setattr__(scheme, "_rows", tuple(map(tuple, cond.tolist())) if rows is None else rows)
+        scheme.__dict__.update(signals=signals, _rows=rows)
         return scheme
+
+    def __reduce__(self):
+        return self._trusted, (self.signals, self._rows)
+
+    @cached_property
+    def cond(self) -> np.ndarray:
+        return _frozen(self._rows)
 
     @property
     def n_signals(self) -> int:
@@ -342,7 +359,7 @@ class SignalingScheme:
 
     @property
     def n_states(self) -> int:
-        return self.cond.shape[1]
+        return len(self._rows[0])
 
     def signal_index(self, label) -> int:
         return _label_index(self.signals, label, "signal")
@@ -354,7 +371,7 @@ class SignalingScheme:
     def to_json_dict(self) -> dict:
         return {
             "signals": list(self.signals),
-            "cond": [[float(p) for p in row] for row in self.cond],
+            "cond": [list(row) for row in self._rows],
         }
 
     @classmethod
@@ -438,7 +455,7 @@ def validate_instance(raw: Mapping) -> Instance:
         states=states,
         actions=actions,
         prior=Belief._trusted(tuple(probs)),
-        utility=np.array(rows),
+        utility=rows,
         default_action=actions[eu.index(max(eu))],
     )
 

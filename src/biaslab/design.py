@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ATOL, Instance, SignalingScheme, _check_threshold, _fsum, bayes_posterior, biased_belief
+from .core import ATOL, Instance, SignalingScheme, _check_threshold, _frozen, _fsum, bayes_posterior, biased_belief
 from .errors import Infeasible, Numerical, Untestable, VerificationFailed
 
 PIVOT_TOL = 1e-10
@@ -47,15 +47,17 @@ class LinearProgram:
     _two_action: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        n = c.size
-        ge = np.asarray(self.ge, dtype=float).reshape(-1, n)
-        eq = np.asarray(self.eq, dtype=float).reshape(-1, n)
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "ge", ge)
-        object.__setattr__(self, "ge_rhs", np.asarray(self.ge_rhs, dtype=float).reshape(-1))
-        object.__setattr__(self, "eq", eq)
-        object.__setattr__(self, "eq_rhs", np.asarray(self.eq_rhs, dtype=float).reshape(-1))
+        # Read-only copies: a later write to the caller's arrays cannot
+        # change the LP.
+        n = np.size(self.objective)
+        for name, shape in (("objective", -1), ("ge", (-1, n)), ("ge_rhs", -1), ("eq", (-1, n)), ("eq_rhs", -1)):
+            object.__setattr__(self, name, _frozen(getattr(self, name)).reshape(shape))  # a read-only view
+
+    def __reduce__(self):
+        # The constructor freezes the unpickled arrays again; the state
+        # keeps the solver route.
+        arrays = (self.objective, self.ge, self.ge_rhs, self.eq, self.eq_rhs)
+        return LinearProgram, arrays, {"_two_action": self._two_action}
 
     @property
     def n_vars(self) -> int:
@@ -328,7 +330,7 @@ def design_scheme(instance: Instance, tau: float) -> DesignResult:
     value, x = solve_lp(build_lp(instance, tau))
     # solve_lp's solution is clipped nonnegative and holds every distribution
     # row to ATOL: a scheme by construction.
-    return _design_result(instance, tau, _p_star(tau, value), x.reshape(instance.n_actions, instance.n_states))
+    return _design_result(instance, tau, _p_star(tau, value), x.reshape(instance.n_actions, instance.n_states).tolist())
 
 
 def _check_testable(instance: Instance, tau: float) -> None:
@@ -356,13 +358,12 @@ def _p_star(tau: float, value: float) -> float:
     return useful_mass
 
 
-def _design_result(instance: Instance, tau: float, p_star: float, cond: np.ndarray, rows=None) -> DesignResult:
-    """Wrap p* and its conditionals, one row per action, which must form a
-    scheme by construction (``rows``: the same as tuples of floats, when
-    the caller has them)."""
+def _design_result(instance: Instance, tau: float, p_star: float, rows: Sequence) -> DesignResult:
+    """Wrap p* and its conditionals, one sequence of Python floats per
+    action, which must form a scheme by construction."""
     # The instance's action labels are unique, so the scheme needs no checks.
     return DesignResult(
-        scheme=SignalingScheme._trusted(instance.actions, cond, rows),
+        scheme=SignalingScheme._trusted(instance.actions, rows),
         useful_mass=p_star,
         sample_complexity=1.0 / p_star,
         threshold=tau,
@@ -372,8 +373,7 @@ def _design_result(instance: Instance, tau: float, p_star: float, cond: np.ndarr
 def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
     """``design_scheme`` for a two-action instance, solved in closed form
     by ``_knapsack_rows``."""
-    p_star, rows = _knapsack_rows(instance, tau)
-    return _design_result(instance, tau, p_star, np.array(rows), rows)
+    return _design_result(instance, tau, *_knapsack_rows(instance, tau))
 
 
 def _knapsack_rows(instance: Instance, tau: float) -> tuple:

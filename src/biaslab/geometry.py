@@ -26,6 +26,10 @@ class GapVector:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _frozen(self.coeffs))
 
+    def __reduce__(self):
+        # Through the constructor, so a copy's coeffs are read-only too.
+        return GapVector, (self.action, self.coeffs.tolist())
+
 
 class Testability(Enum):
     SINGLE_SAMPLE = "single_sample"
@@ -52,7 +56,7 @@ class Classification:
 
 
 def _gap_row(instance: Instance, action) -> int:
-    """Row of ``instance.gaps`` and ``instance._thresholds`` for ``action``."""
+    """Row of ``instance._gap_rows`` and ``instance._thresholds`` for ``action``."""
     if action == instance.default_action:
         raise DefaultActionGap("the default action has no gap vector")
     a = instance.action_index(action)
@@ -60,14 +64,13 @@ def _gap_row(instance: Instance, action) -> int:
 
 
 def gap_vector(instance: Instance, action) -> GapVector:
-    return GapVector(action=action, coeffs=instance.gaps[_gap_row(instance, action)])
+    return GapVector(action=action, coeffs=instance._gap_rows[_gap_row(instance, action)])
 
 
 def indifference_offset(instance: Instance, action, tau: float) -> float:
     """Right-hand side of the shifted indifference hyperplane; always <= 0."""
     _check_threshold(tau)
-    gap = gap_vector(instance, action).coeffs.tolist()
-    return -tau / (1.0 - tau) * _fsum(gap, instance._prior)
+    return -tau / (1.0 - tau) * _fsum(instance._gap_rows[_gap_row(instance, action)], instance._prior)
 
 
 def translated_set_nonempty(instance: Instance, action, tau: float) -> bool:
