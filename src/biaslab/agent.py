@@ -44,15 +44,21 @@ class BiasedAgent:
 def agent_act(agent: BiasedAgent, instance: Instance, scheme: SignalingScheme, signal) -> str:
     """Action the agent takes after observing ``signal``."""
     _check_states(instance, scheme.n_states, "scheme")
-    return _respond(agent, instance, scheme._rows[scheme.signal_index(signal)], signal)
+    return _responder(agent, instance)(scheme._rows[scheme.signal_index(signal)], signal)
 
 
-def _respond(agent: BiasedAgent, instance: Instance, row, signal) -> str:
-    """``agent_act`` for the signal whose conditional row is ``row``, a
-    sequence of floats over the instance's states: the Bayes posterior,
-    the agent's bias function and its best response."""
-    belief = agent.bias_fn.evaluate(instance.prior, _posterior(instance, row, signal), agent.w)
-    return best_response(instance, belief, agent.tiebreak).action
+def _responder(agent: BiasedAgent, instance: Instance):
+    """Return ``respond(row, signal)``, ``agent_act`` for the signal whose
+    conditional row is ``row``, a sequence of floats over the instance's
+    states: the Bayes posterior, the agent's bias function and its best
+    response.  The prior, the bound ``evaluate``, the level and the
+    tie-break, which no signal changes, are looked up once here."""
+    prior, evaluate, w, tiebreak = instance.prior, agent.bias_fn.evaluate, agent.w, agent.tiebreak
+
+    def respond(row, signal) -> str:
+        return best_response(instance, evaluate(prior, _posterior(instance, row, signal), w), tiebreak).action
+
+    return respond
 
 
 def preference_sign(
@@ -128,8 +134,8 @@ def sample_episode(
     The state comes from the prior, the signal from the committed scheme's
     conditional row, and the action from the agent.  Deterministic given
     the generator state.  This is the one-episode reference; a threshold
-    test draws through the same ``_sampler`` and asks the agent through the
-    same ``_respond``, but only once per signal.
+    test draws through the same ``_sampler`` and asks the agent through a
+    ``_responder``, as ``agent_act`` does, but only once per signal.
     """
     t, s = episode_sampler(instance, scheme)(rng)
     signal = scheme.signals[s]

@@ -164,15 +164,18 @@ def _pair_rows(instance: Instance, tau: float):
     optimality row on pi(a|.).  ``build_lp`` lays these rows out and
     ``verify_design`` reads them, so both see the same bits."""
     for a, other in itertools.permutations(range(instance.n_actions), 2):
-        yield a, other, _row_over(instance, tau, a, other)
+        yield a, other, _row_over(instance, a, other)(tau)
 
 
-def _row_over(instance: Instance, tau: float, a: int, other: int) -> list:
-    """``_pair_row`` for (a over other), from the instance's prior and
-    utility rows."""
+def _row_over(instance: Instance, a: int, other: int):
+    """Return ``row_at(tau)``, the ``_pair_row`` for (a over other) at
+    threshold ``tau``; du and its prior mean, which ``tau`` does not
+    change, are formed once here from the instance's prior and utility
+    rows."""
     prior, rows = instance._prior, instance._rows
     du = [x - y for x, y in zip(rows[a], rows[other])]
-    return _pair_row(prior, tau, du, _fsum(prior, du))
+    mean_du = _fsum(prior, du)
+    return lambda tau: _pair_row(prior, tau, du, mean_du)
 
 
 def solve_lp(lp: LinearProgram) -> tuple[float, np.ndarray]:
@@ -345,7 +348,7 @@ def _check_testable(instance: Instance, tau: float) -> None:
 def _useful_mass(value: float) -> float | None:
     """p* of a design optimum ``value``: trimmed of rounding excess above 1,
     and None, untestable, at or below ``ATOL``.  ``design_scheme``,
-    ``_knapsack_rows`` and ``classify`` all read p* through here."""
+    ``_knapsack`` and ``classify`` all read p* through here."""
     return min(value, 1.0) if value > ATOL else None
 
 
@@ -372,13 +375,15 @@ def _design_result(instance: Instance, tau: float, p_star: float, rows: Sequence
 
 def _knapsack_design(instance: Instance, tau: float) -> DesignResult:
     """``design_scheme`` for a two-action instance, solved in closed form
-    by ``_knapsack_rows``."""
-    return _design_result(instance, tau, *_knapsack_rows(instance, tau))
+    by ``_knapsack``."""
+    return _design_result(instance, tau, *_knapsack(instance)(tau))
 
 
-def _knapsack_rows(instance: Instance, tau: float) -> tuple:
-    """p* and the conditionals, one tuple of floats per action, of
-    ``design_scheme``'s design for a two-action instance, in closed form.
+def _knapsack(instance: Instance):
+    """Return ``rows_at(tau)``: p* and the conditionals, one tuple of
+    floats per action, of ``design_scheme``'s design for the two-action
+    ``instance``, in closed form.  What no threshold changes, the (a over
+    d) utility difference and its prior mean, is formed once here.
 
     With one non-default action a, ``build_lp``'s LP is a continuous
     knapsack with one equality (Dantzig 1957): maximize mu0 @ pi subject to
@@ -387,39 +392,43 @@ def _knapsack_rows(instance: Instance, tau: float) -> tuple:
     to a; the positive budget is then spent on the negative states in
     ascending order of cost per unit of prior mass, |row_t| / mu0_t, so at
     most one state ends fractional.  The (d over a) row holds by itself,
-    since row sums to the scaled mu0 @ (u_a - u_d) < 0.  Raises what
-    ``design_scheme`` raises: Untestable above ``testable_range``, checked
-    first, or when p* <= ATOL, and Numerical when a residual check of
-    ``solve_lp`` fails.
+    since row sums to the scaled mu0 @ (u_a - u_d) < 0.  ``rows_at``
+    raises what ``design_scheme`` raises: Untestable above
+    ``testable_range``, checked first, or when p* <= ATOL, and Numerical
+    when a residual check of ``solve_lp`` fails.
 
     Every step runs on Python floats, and the sums (the budget, the
     residual tests and p*) are correctly rounded by ``core._fsum``.
     """
-    _check_testable(instance, tau)
     a = 1 - instance.default_index
     mu0 = instance._prior
-    row = _row_over(instance, tau, a, 1 - a)  # the (a over d) row
+    row_over = _row_over(instance, a, 1 - a)  # the (a over d) row
 
-    pi = [1.0 if r >= 0.0 else 0.0 for r in row]
-    budget = _fsum(row, pi)
-    # The negative states, ordered (stably) by cost per unit of prior mass.
-    for t in sorted((t for t, r in enumerate(row) if r < 0.0), key=lambda t: -row[t] / mu0[t]):
-        cost = -row[t]
-        if cost >= budget:
-            pi[t] = budget / cost
-            break
-        pi[t] = 1.0
-        budget -= cost
+    def rows_at(tau: float) -> tuple:
+        _check_testable(instance, tau)
+        row = row_over(tau)
+        pi = [1.0 if r >= 0.0 else 0.0 for r in row]
+        budget = _fsum(row, pi)
+        # The negative states, ordered (stably) by cost per unit of prior mass.
+        for t in sorted((t for t, r in enumerate(row) if r < 0.0), key=lambda t: -row[t] / mu0[t]):
+            cost = -row[t]
+            if cost >= budget:
+                pi[t] = budget / cost
+                break
+            pi[t] = 1.0
+            budget -= cost
 
-    # solve_lp's residual tests on the indifference row and the (d over a)
-    # row, written so that NaN fails them.
-    rest = [1.0 - p for p in pi]
-    if not abs(_fsum(row, pi)) <= ATOL:
-        raise Numerical("equality residual above tolerance")
-    if not -_fsum(row, rest) >= -ATOL:
-        raise Numerical("inequality residual above tolerance")
-    # Both rows lie in [0, 1] and sum to one per state: a scheme by construction.
-    return _p_star(tau, _fsum(mu0, pi)), ((tuple(pi), tuple(rest)) if a == 0 else (tuple(rest), tuple(pi)))
+        # solve_lp's residual tests on the indifference row and the (d over a)
+        # row, written so that NaN fails them.
+        rest = [1.0 - p for p in pi]
+        if not abs(_fsum(row, pi)) <= ATOL:
+            raise Numerical("equality residual above tolerance")
+        if not -_fsum(row, rest) >= -ATOL:
+            raise Numerical("inequality residual above tolerance")
+        # Both rows lie in [0, 1] and sum to one per state: a scheme by construction.
+        return _p_star(tau, _fsum(mu0, pi)), ((tuple(pi), tuple(rest)) if a == 0 else (tuple(rest), tuple(pi)))
+
+    return rows_at
 
 
 # Signals lighter than this are skipped by the biased-belief indifference

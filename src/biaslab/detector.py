@@ -12,9 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .agent import BiasedAgent, _respond, _sampler
+from .agent import BiasedAgent, _responder, _sampler
 from .core import ZERO_MASS, Instance, SignalingScheme, _bisect, _check_states
-from .design import _knapsack_rows, design_scheme
+from .design import _knapsack, design_scheme
 from .errors import DegenerateParameters, NothingTestable, ShapeMismatch, Timeout
 from .geometry import testable_range
 
@@ -111,6 +111,17 @@ def _first_horizon(log_miss: float, log_delta: float) -> int:
     return t
 
 
+def _first_useful(draw, rng, is_useful, max_steps: int) -> tuple:
+    """Run episodes through ``draw`` until a signal flagged by
+    ``is_useful`` lands; return the number of episodes and that signal's
+    index.  Raises Timeout after ``max_steps`` episodes."""
+    for step in range(1, max_steps + 1):
+        s = draw(rng)[1]
+        if is_useful[s]:
+            return step, s
+    raise Timeout(max_steps)
+
+
 def _threshold_tests(instance, rows, signals, is_useful, agent, rng, max_steps, trials, record_trace=False) -> list:
     """Run ``trials`` successive threshold tests on one scheme, given by its
     rows (sequences of floats over the states, one per signal) and signal
@@ -122,27 +133,26 @@ def _threshold_tests(instance, rows, signals, is_useful, agent, rng, max_steps, 
     and agent, is computed when an episode first needs it.  With
     ``record_trace`` each verdict keeps its episodes.
     """
-    draw = _sampler(instance, rows)
+    draw, respond = _sampler(instance, rows), _responder(agent, instance)
     responses = {}  # signal index -> the agent's action
+    trace = []
 
-    def respond(s: int) -> str:
+    def response(s: int) -> str:
         if s not in responses:
-            responses[s] = _respond(agent, instance, rows[s], signals[s])
+            responses[s] = respond(rows[s], signals[s])
         return responses[s]
+
+    def recorded(rng) -> tuple:
+        t, s = draw(rng)
+        trace.append((instance.states[t], signals[s], response(s)))
+        return t, s
 
     results = []
     for _ in range(trials):
-        trace = [] if record_trace else None
-        for step in range(1, max_steps + 1):
-            t, s = draw(rng)
-            if trace is not None:
-                trace.append((instance.states[t], signals[s], respond(s)))
-            if is_useful[s]:
-                break
-        else:
-            raise Timeout(max_steps)
-        verdict = Verdict.GEQ if respond(s) == instance.default_action else Verdict.LEQ
-        results.append(ThresholdVerdict(verdict=verdict, steps=step, trace=None if trace is None else tuple(trace)))
+        steps, s = _first_useful(recorded if record_trace else draw, rng, is_useful, max_steps)
+        verdict = Verdict.GEQ if response(s) == instance.default_action else Verdict.LEQ
+        results.append(ThresholdVerdict(verdict=verdict, steps=steps, trace=tuple(trace) if record_trace else None))
+        trace.clear()
     return results
 
 
@@ -178,28 +188,40 @@ def threshold_test_on_scheme(
     return _threshold_tests(instance, scheme._rows, scheme.signals, is_useful, agent, rng, max_steps, 1, record_trace)[0]
 
 
-def _test_plan(instance: Instance, tau: float, max_steps: int | None) -> tuple:
-    """Design the scheme for ``tau``; return its p*, its rows (tuples of
-    floats, one per action), its useful-signal mask (the non-default
-    recommendations that are ever sent) and the step budget.  A two-action
-    design is solved in closed form, any other by the LP."""
+def _planner(instance: Instance):
+    """Return ``plan(tau, max_steps=None)``, which designs the scheme for
+    ``tau`` and gives its p*, its rows (tuples of floats, one per action),
+    its useful-signal mask (the non-default recommendations that are ever
+    sent) and the step budget.  A two-action design is solved in closed
+    form by ``_knapsack``, set up here once for the instance; any other by
+    the LP."""
     d = instance.default_index
     if instance.n_actions == 2:
-        p_star, rows = _knapsack_rows(instance, tau)
+        rows_at = _knapsack(instance)
         # p* exceeds ATOL, and the non-default signal's mass equals p* up to
         # rounding, far above ZERO_MASS: that signal is the useful one, and
         # no second product with the prior is needed.
         is_useful = [a != d for a in range(2)]
+
+        def design(tau: float) -> tuple:
+            return (*rows_at(tau), is_useful)
+
     else:
-        design = design_scheme(instance, tau)
-        p_star, rows = design.useful_mass, design.scheme._rows
-        probs = design.scheme.signal_probs(instance.prior)
-        is_useful = [a != d and p > ZERO_MASS for a, p in enumerate(probs)]
-    if max_steps is None:
-        max_steps = _exact_horizon(p_star, _LOG_TIMEOUT_DELTA)
-    elif max_steps < 1:
-        raise DegenerateParameters(f"max_steps={max_steps}")
-    return p_star, rows, is_useful, max_steps
+
+        def design(tau: float) -> tuple:
+            result = design_scheme(instance, tau)
+            probs = result.scheme.signal_probs(instance.prior)
+            return result.useful_mass, result.scheme._rows, [a != d and p > ZERO_MASS for a, p in enumerate(probs)]
+
+    def plan(tau: float, max_steps: int | None = None) -> tuple:
+        p_star, rows, is_useful = design(tau)
+        if max_steps is None:
+            max_steps = _exact_horizon(p_star, _LOG_TIMEOUT_DELTA)
+        elif max_steps < 1:
+            raise DegenerateParameters(f"max_steps={max_steps}")
+        return p_star, rows, is_useful, max_steps
+
+    return plan
 
 
 def threshold_test(
@@ -216,7 +238,7 @@ def threshold_test(
     non-default recommendations.  Raises Untestable when the threshold
     cannot be tested at all.
     """
-    _, rows, is_useful, max_steps = _test_plan(instance, tau, max_steps)
+    _, rows, is_useful, max_steps = _planner(instance)(tau, max_steps)
     return _threshold_tests(instance, rows, instance.actions, is_useful, agent, rng, max_steps, 1, record_trace)[0]
 
 
@@ -242,7 +264,7 @@ def _sample_complexity(instance, tau, agent, rng, trials) -> tuple[ComplexityEst
     """``empirical_sample_complexity`` plus the expected test length of its design."""
     if trials < 1:
         raise DegenerateParameters(f"trials={trials}")
-    p_star, rows, is_useful, max_steps = _test_plan(instance, tau, None)
+    p_star, rows, is_useful, max_steps = _planner(instance)(tau)
     tests = _threshold_tests(instance, rows, instance.actions, is_useful, agent, rng, max_steps, trials)
     steps = np.array([test.steps for test in tests], dtype=float)
     mean = float(steps.mean())
@@ -260,12 +282,16 @@ def estimate_bias(
 
     Searches [0, tau_max], halving until the bracket is at most ``epsilon``
     wide or consists of two adjacent doubles, the finest bracket floats can
-    hold.  Each query is one threshold test: one design for its threshold,
-    the episodes until a useful signal lands and one response of the agent.
-    With two actions the design is the closed form's p* and rows of floats,
-    and no scheme, design result or belief array is built; the instance's
-    own tables (the prior, the utility and gap rows as floats and the
-    prior's cumulative sum) were built once when it was validated.  When
+    hold.  Each query draws and asks as ``threshold_test`` does: one design
+    for its threshold, the episodes until a useful signal lands and one
+    response of the agent.  The search sets up once what no threshold
+    changes: the planner (with two actions, the (a over default) utility
+    difference and its prior mean) and the agent's responder (the prior,
+    the bias function, the level and the tie-break).  A query then builds
+    only its design, horizon, signal tables, episodes and one response;
+    with two actions the design is the closed form's p* and rows of
+    floats, and no scheme, design result, verdict or belief array is
+    built.  When
     every answer says "at or above" the level may lie beyond the testable
     range, so the interval is censored to [lo, 1]; the bracket is censored
     only then.  If the requested width already covers the whole searchable
@@ -285,8 +311,13 @@ def estimate_bias(
     if tau_max <= ZERO_MASS:
         raise NothingTestable("default action dominates everywhere")
 
+    plan, respond = _planner(instance), _responder(agent, instance)
+
     def at_or_above(tau: float) -> bool:
-        return threshold_test(instance, tau, agent, rng).verdict == Verdict.GEQ
+        # threshold_test's one trial, without its verdict or response memo.
+        _, rows, is_useful, max_steps = plan(tau)
+        s = _first_useful(_sampler(instance, rows), rng, is_useful, max_steps)[1]
+        return respond(rows[s], instance.actions[s]) == instance.default_action
 
     lo, hi, queries = _bisect(at_or_above, 0.0, tau_max, epsilon)
     if queries == 0:

@@ -283,20 +283,29 @@ def test_simulate_designs_once(tmp_path, monkeypatch):
     import biaslab.detector
 
     calls = []
-    for name in ("_knapsack_rows", "design_scheme"):
 
-        def counting(*args, design=getattr(biaslab.detector, name), name=name):
-            calls.append(name)
-            return design(*args)
+    def counting_knapsack(instance, knapsack=biaslab.detector._knapsack):
+        rows_at = knapsack(instance)
 
-        monkeypatch.setattr(biaslab.detector, name, counting)
+        def counting(tau):
+            calls.append("_knapsack")
+            return rows_at(tau)
+
+        return counting
+
+    def counting_design(*args, design=biaslab.detector.design_scheme):
+        calls.append("design_scheme")
+        return design(*args)
+
+    monkeypatch.setattr(biaslab.detector, "_knapsack", counting_knapsack)
+    monkeypatch.setattr(biaslab.detector, "design_scheme", counting_design)
     three_action = {
         "states": ["G", "B"],
         "actions": ["a0", "a1", "a2"],
         "prior": [0.5, 0.5],
         "utility": [[0.1, 0.1], [1.0, -1.0], [-1.0, 1.0]],
     }
-    for instance, route in ((_twostate(), "_knapsack_rows"), (three_action, "design_scheme")):
+    for instance, route in ((_twostate(), "_knapsack"), (three_action, "design_scheme")):
         calls.clear()
         path = tmp_path / f"{route}.json"
         path.write_text(json.dumps(instance), encoding="utf-8")

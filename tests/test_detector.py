@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -91,14 +91,15 @@ class TestThresholdTest:
 
 @dataclass
 class CountingBias:
-    """LinearBias that counts its evaluations."""
+    """A bias model, LinearBias unless given, that counts its evaluations."""
 
+    inner: object = field(default_factory=LinearBias)
     name: str = "counting"
     calls: int = 0
 
     def evaluate(self, prior, posterior, w):
         self.calls += 1
-        return LinearBias().evaluate(prior, posterior, w)
+        return self.inner.evaluate(prior, posterior, w)
 
 
 def _loop_cases(twostate, symmetric3):
@@ -314,17 +315,22 @@ class TestEstimateBias:
     @pytest.mark.parametrize("w", [0.0, 0.3, 1.0])
     def test_stops_at_double_resolution(self, twostate_instance, w, epsilon, monkeypatch):
         # Below the spacing of doubles near the level, the bracket can only
-        # shrink to two adjacent doubles.  The counter turns a search that
-        # never ends into a failure.
+        # shrink to two adjacent doubles.  The counter, on each query's
+        # design step, turns a search that never ends into a failure.
         calls = []
 
-        def counted(*args, test=bl.detector.threshold_test):
-            calls.append(args[1])
-            if len(calls) > 5000:
-                raise AssertionError("the binary search does not end")
-            return test(*args)
+        def counted_planner(instance, planner=bl.detector._planner):
+            plan = planner(instance)
 
-        monkeypatch.setattr(bl.detector, "threshold_test", counted)
+            def counted(tau, *args):
+                calls.append(tau)
+                if len(calls) > 5000:
+                    raise AssertionError("the binary search does not end")
+                return plan(tau, *args)
+
+            return counted
+
+        monkeypatch.setattr(bl.detector, "_planner", counted_planner)
         inst = twostate_instance
         iv = estimate_bias(inst, BiasedAgent(w=w), epsilon, np.random.default_rng(1))
         assert iv.queries == len(calls)
@@ -400,6 +406,83 @@ class TestThresholdTestEquivalence:
         assert compared == 2 * 3 * 5 * 8
 
 
+class TestEstimateBiasMatchesThresholdTests:
+    """One search draws and asks exactly as successive public
+    ``threshold_test`` calls do, bisected by ``core._bisect``."""
+
+    @staticmethod
+    def _reference(instance, agent, epsilon, rng):
+        tau_max = bl.testable_range(instance)
+        lo, hi, queries = bl.core._bisect(
+            lambda tau: threshold_test(instance, tau, agent, rng).verdict == Verdict.GEQ, 0.0, tau_max, epsilon
+        )
+        assert queries > 0
+        return (lo, 1.0, queries, True) if hi == tau_max else (lo, hi, queries, False)
+
+    @pytest.mark.parametrize("bias_fn", [LinearBias(), WarpedLinear(gamma=2.0)], ids=["linear", "warped"])
+    @pytest.mark.parametrize("tiebreak", list(TieBreak))
+    def test_same_interval_draws_and_questions(self, symmetric3_instance, bias_fn, tiebreak):
+        instances = TestThresholdTestEquivalence._two_action_instances() + [symmetric3_instance]
+        for k, inst in enumerate(instances):
+            for w in (0.37 * bl.testable_range(inst), 1.0):
+                for epsilon in (1e-3, 1e-9):
+                    ours, theirs = CountingBias(bias_fn), CountingBias(bias_fn)
+                    rng, twin = np.random.default_rng(k), np.random.default_rng(k)
+                    iv = estimate_bias(inst, BiasedAgent(w=w, bias_fn=ours, tiebreak=tiebreak), epsilon, rng)
+                    ref = self._reference(inst, BiasedAgent(w=w, bias_fn=theirs, tiebreak=tiebreak), epsilon, twin)
+                    assert (iv.lo, iv.hi, iv.queries, iv.censored) == ref
+                    assert rng.bit_generator.state == twin.bit_generator.state
+                    assert ours.calls == theirs.calls == iv.queries
+
+
+class TestEstimateBiasSetUp:
+    """A search sets up its design and its responder once and runs the
+    per-threshold design step once per query."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import biaslab.detector as detector
+
+        counts = {"planner": 0, "knapsack": 0, "responder": 0, "designs": 0}
+
+        def counted(name, real, steps_design):
+            def set_up(*args):
+                counts[name] += 1
+                step = real(*args)
+                if not steps_design:
+                    return step
+
+                def design(*args):
+                    counts["designs"] += 1
+                    return step(*args)
+
+                return design
+
+            return set_up
+
+        monkeypatch.setattr(detector, "_planner", counted("planner", detector._planner, False))
+        monkeypatch.setattr(detector, "_knapsack", counted("knapsack", detector._knapsack, True))
+        monkeypatch.setattr(detector, "_responder", counted("responder", detector._responder, False))
+        design_scheme = detector.design_scheme
+
+        def design(*args):  # the LP route's per-threshold step
+            counts["designs"] += 1
+            return design_scheme(*args)
+
+        monkeypatch.setattr(detector, "design_scheme", design)
+        return counts
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-9])
+    def test_two_actions(self, counts, twostate_instance, epsilon):
+        iv = estimate_bias(twostate_instance, BiasedAgent(w=0.3), epsilon, np.random.default_rng(0))
+        assert counts == {"planner": 1, "knapsack": 1, "responder": 1, "designs": iv.queries}
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-9])
+    def test_three_actions(self, counts, symmetric3_instance, epsilon):
+        iv = estimate_bias(symmetric3_instance, BiasedAgent(w=0.3), epsilon, np.random.default_rng(0))
+        assert counts == {"planner": 1, "knapsack": 0, "responder": 1, "designs": iv.queries}
+
+
 class TestEstimateBiasQueries:
     def test_agent_asked_once_per_query(self, twostate_instance):
         for w, epsilon in ((0.3, 1e-6), (0.9, 1e-3), (0.0, 1e-9)):
@@ -409,18 +492,30 @@ class TestEstimateBiasQueries:
 
     @staticmethod
     def _scripted(monkeypatch, answers):
-        """Replace threshold_test by one that plays ``answers``: a verdict,
-        or Untestable, per query."""
+        """Make the search's queries play ``answers``: a verdict, or
+        Untestable, per query.  Each query's design step raises Untestable
+        or designs as before, and the agent then keeps the default action
+        for "at or above" and leaves it for "at or below"."""
         taus = []
 
-        def scripted(instance, tau, *args):
-            taus.append(tau)
-            answer = answers[len(taus) - 1]
-            if answer is Untestable:
-                raise Untestable(tau)
-            return bl.ThresholdVerdict(verdict=answer, steps=1)
+        def planner(instance, real=bl.detector._planner):
+            plan = real(instance)
 
-        monkeypatch.setattr(bl.detector, "threshold_test", scripted)
+            def scripted(tau, *args):
+                taus.append(tau)
+                if answers[len(taus) - 1] is Untestable:
+                    raise Untestable(tau)
+                return plan(tau, *args)
+
+            return scripted
+
+        def responder(agent, instance):
+            default = instance.default_action
+            other = next(a for a in instance.actions if a != default)
+            return lambda row, signal: default if answers[len(taus) - 1] == Verdict.GEQ else other
+
+        monkeypatch.setattr(bl.detector, "_planner", planner)
+        monkeypatch.setattr(bl.detector, "_responder", responder)
         return taus
 
     def _assert_raises_after(self, monkeypatch, twostate_instance, script):
