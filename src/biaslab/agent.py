@@ -8,7 +8,6 @@ shortcut for the same comparison, used to cross-validate simulations.
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -87,30 +86,20 @@ def preference_sign(
     return 1 if gap > 0 else -1
 
 
-@lru_cache(maxsize=1)
-def episode_sampler(instance: Instance, scheme: SignalingScheme):
-    """Return ``draw(rng) -> (state index, signal index)`` for one scheme.
+def _sampler(instance: Instance, rows):
+    """Return ``draw(rng) -> (state index, signal index)`` for one scheme,
+    given by its rows, sequences of floats over the instance's states, one
+    per signal.
 
     Each draw consumes exactly two ``rng.random()`` values: the state by
     inverse CDF over the prior, then the signal by inverse CDF over the
     scheme's conditional column for that state, scaled by the column's
     total.  The state table is the instance's, built once per instance; the
-    signal tables are built here, and the sampler of the last (instance,
-    scheme) pair is kept (both hash by identity), so repeated calls on one
-    scheme pay for them once.  Raises ShapeMismatch if the scheme does not
-    cover the instance's states.
-
-    Each signal table is a running sum of Python floats down one column of
-    the scheme's float rows, the same additions in the same order as
-    numpy's ``cumsum`` along the signals.
+    signal tables are built here, once per call.  Each is a running sum of
+    Python floats down one column of the rows, the same additions in the
+    same order as numpy's ``cumsum`` along the signals.  The rows are not
+    checked.
     """
-    _check_states(instance, scheme.n_states, "scheme")
-    return _sampler(instance, scheme._rows)
-
-
-def _sampler(instance: Instance, rows):
-    """``episode_sampler`` for a scheme given by its rows, sequences of
-    floats over the instance's states, one per signal; not cached."""
     state_cdf = instance._state_cdf
     signal_cdfs = [list(accumulate(column)) for column in zip(*rows)]
     last_state = instance.n_states - 1
@@ -136,7 +125,9 @@ def sample_episode(
     the generator state.  This is the one-episode reference; a threshold
     test draws through the same ``_sampler`` and asks the agent through a
     ``_responder``, as ``agent_act`` does, but only once per signal.
+    Raises ShapeMismatch if the scheme does not cover the instance's states.
     """
-    t, s = episode_sampler(instance, scheme)(rng)
+    _check_states(instance, scheme.n_states, "scheme")
+    t, s = _sampler(instance, scheme._rows)(rng)
     signal = scheme.signals[s]
     return instance.states[t], signal, agent_act(agent, instance, scheme, signal)

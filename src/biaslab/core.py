@@ -315,7 +315,8 @@ class SignalingScheme(_Frozen):
     """Conditional signal distributions, one row per signal.
 
     ``cond[s, t]`` is the probability of sending signal ``s`` in state
-    ``t``; every state column sums to one.  The scheme keeps its rows as
+    ``t``; every state column sums to one.  ``signals`` is a list or tuple
+    of unique labels, one per row.  The scheme keeps its rows as
     tuples of Python floats, which the episode draw and the Bayes update
     read; ``cond`` is a read-only array built from them the first time it
     is read.  Copies and pickles carry the rows only.
@@ -328,6 +329,9 @@ class SignalingScheme(_Frozen):
         self.__post_init__()
 
     def __post_init__(self):
+        # A string or a mapping would iterate into labels of its own.
+        if not isinstance(self.signals, (list, tuple)):
+            raise ShapeMismatch("signal labels must be a list or tuple")
         cond = np.array(self._rows, dtype=float)
         signals = tuple(self.signals)
         if cond.ndim != 2 or cond.shape[0] != len(signals):
@@ -376,7 +380,7 @@ class SignalingScheme(_Frozen):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SignalingScheme":
-        return cls(signals=tuple(data["signals"]), cond=np.asarray(data["cond"], dtype=float))
+        return cls(signals=data["signals"], cond=np.asarray(data["cond"], dtype=float))
 
 
 def uninformative_scheme(instance: Instance) -> SignalingScheme:
@@ -574,7 +578,8 @@ def scheme_from_posteriors(
     ``ATOL`` (otherwise InconsistentSplit).  The returned scheme sends
     signal ``s`` with unconditional probability ``weights[s]`` and induces
     ``posteriors[s]``; signals with positive weight round-trip through
-    :func:`bayes_posterior`.
+    :func:`bayes_posterior`.  ``signals``, the labels, is a list or tuple
+    (default ``s0``, ``s1``, ...).
     """
     w = np.array(weights, dtype=float)
     if w.ndim != 1 or len(posteriors) != w.size:
@@ -597,4 +602,4 @@ def scheme_from_posteriors(
     # division is safe.  Renormalize columns to absorb the split residual.
     columns = [[x * y / m for x, y in zip(w, column)] for column, m in zip(columns, instance._prior)]
     columns = [[x / total for x in column] for column, total in zip(columns, map(_fsum, columns))]
-    return SignalingScheme(signals=tuple(signals), cond=np.array(columns).T)
+    return SignalingScheme(signals=signals, cond=np.array(columns).T)

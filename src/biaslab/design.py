@@ -452,8 +452,10 @@ def verify_design(instance: Instance, tau: float, result: DesignResult) -> Desig
     Raises VerificationFailed when the scheme's shape or signal labels are
     not the instance's actions in order, or when a residual exceeds
     ``VERIFY_TOL`` or is NaN; the message names each failing row, and the
-    distribution rows by their worst one.
+    distribution rows by their worst one.  Raises OutOfRangeThreshold first
+    unless ``tau`` lies in (0, 1).
     """
+    _check_threshold(tau)
     scheme = result.scheme
     nA, nS = instance.n_actions, instance.n_states
     if scheme.n_signals != nA or scheme.n_states != nS:

@@ -7,6 +7,7 @@ for the hidden bias level.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -102,12 +103,27 @@ def _exact_horizon(p_star: float, log_delta: float) -> int:
 
 
 def _first_horizon(log_miss: float, log_delta: float) -> int:
-    """Smallest t >= 1 with t * log_miss <= log_delta, for log_miss < 0."""
-    t = max(1, math.ceil(log_delta / log_miss))
-    while t > 1 and (t - 1) * log_miss <= log_delta:
-        t -= 1
+    """Smallest t >= 1 with t * log_miss <= log_delta, for log_miss < 0.
+
+    Raises DegenerateParameters when their ratio is not finite."""
+    ratio = log_delta / log_miss
+    if not math.isfinite(ratio):
+        raise DegenerateParameters(f"no finite horizon: log(delta) / log(miss) = {log_delta} / {log_miss}")
+    t = math.ceil(ratio) if ratio > 1.0 else 1
+    # The ratio lies within a few ulps of the answer, and the float product
+    # is monotone in t.  Step by t >> 52, at least the spacing of doubles
+    # near t: 1 below 2**53, where this corrects t by a few unit steps.
+    # Above it neighbouring integers share a double, so unit steps might
+    # never end; there the last step is halved, rounding up, down to 1.
+    step = t >> 52 or 1
+    while t > step and (t - step) * log_miss <= log_delta:
+        t -= step
     while t * log_miss > log_delta:
-        t += 1
+        t += step
+    while step > 1:
+        step = (step + 1) // 2
+        if (t - step) * log_miss <= log_delta:
+            t -= step
     return t
 
 
@@ -122,17 +138,26 @@ def _first_useful(draw, rng, is_useful, max_steps: int) -> tuple:
     raise Timeout(max_steps)
 
 
+def _check_count(name: str, count) -> None:
+    """Raise DegenerateParameters naming ``count`` unless it is an integer
+    (numpy's included) of at least 1."""
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise DegenerateParameters(f"{name}={count}")
+
+
 def _threshold_tests(instance, rows, signals, is_useful, agent, rng, max_steps, trials, record_trace=False) -> list:
     """Run ``trials`` successive threshold tests on one scheme, given by its
     rows (sequences of floats over the states, one per signal) and signal
     labels; return the ``ThresholdVerdict`` of each.
 
-    ``is_useful`` flags the useful signals by index.  The callers have
-    checked their inputs, so nothing is checked again here.  The sampler is
-    built once, and the agent's response to a signal, fixed for one scheme
-    and agent, is computed when an episode first needs it.  With
+    ``is_useful`` flags the useful signals by index.  The step budget is
+    checked here, the one place that checks it; the callers have checked
+    the other inputs, so nothing is checked twice.  The sampler is built
+    once, and the agent's response to a signal, fixed for one scheme and
+    agent, is computed when an episode first needs it.  With
     ``record_trace`` each verdict keeps its episodes.
     """
+    _check_count("max_steps", max_steps)
     draw, respond = _sampler(instance, rows), _responder(agent, instance)
     responses = {}  # signal index -> the agent's action
     trace = []
@@ -171,15 +196,13 @@ def threshold_test_on_scheme(
     action means the bias is at or above the threshold the scheme was built
     for, anything else means at or below.  Raises Timeout if no useful
     signal lands within ``max_steps``, DegenerateParameters if
-    ``useful_signals`` is empty or ``max_steps`` < 1, and ShapeMismatch if
-    a useful signal is not one of the scheme's or the scheme does not cover
-    the instance's states.
+    ``useful_signals`` is empty or ``max_steps`` is not an integer of at
+    least 1, and ShapeMismatch if a useful signal is not one of the
+    scheme's or the scheme does not cover the instance's states.
     """
     useful = set(useful_signals)
     if not useful:
         raise DegenerateParameters("no useful signals")
-    if max_steps < 1:
-        raise DegenerateParameters(f"max_steps={max_steps}")
     unknown = useful.difference(scheme.signals)
     if unknown:
         raise ShapeMismatch(f"unknown signal {', '.join(sorted(map(repr, unknown)))}")
@@ -189,12 +212,12 @@ def threshold_test_on_scheme(
 
 
 def _planner(instance: Instance):
-    """Return ``plan(tau, max_steps=None)``, which designs the scheme for
-    ``tau`` and gives its p*, its rows (tuples of floats, one per action),
-    its useful-signal mask (the non-default recommendations that are ever
-    sent) and the step budget.  A two-action design is solved in closed
-    form by ``_knapsack``, set up here once for the instance; any other by
-    the LP."""
+    """Return ``plan(tau)``, which designs the scheme for ``tau`` and gives
+    its p*, its rows (tuples of floats, one per action), its useful-signal
+    mask (the non-default recommendations that are ever sent) and its
+    exact horizon for ``DEFAULT_TIMEOUT_DELTA``, the default step budget.
+    A two-action design is solved in closed form by ``_knapsack``, set up
+    here once for the instance; any other by the LP."""
     d = instance.default_index
     if instance.n_actions == 2:
         rows_at = _knapsack(instance)
@@ -213,13 +236,9 @@ def _planner(instance: Instance):
             probs = result.scheme.signal_probs(instance.prior)
             return result.useful_mass, result.scheme._rows, [a != d and p > ZERO_MASS for a, p in enumerate(probs)]
 
-    def plan(tau: float, max_steps: int | None = None) -> tuple:
+    def plan(tau: float) -> tuple:
         p_star, rows, is_useful = design(tau)
-        if max_steps is None:
-            max_steps = _exact_horizon(p_star, _LOG_TIMEOUT_DELTA)
-        elif max_steps < 1:
-            raise DegenerateParameters(f"max_steps={max_steps}")
-        return p_star, rows, is_useful, max_steps
+        return p_star, rows, is_useful, _exact_horizon(p_star, _LOG_TIMEOUT_DELTA)
 
     return plan
 
@@ -235,10 +254,12 @@ def threshold_test(
     """Decide whether the agent's bias is >= tau or <= tau.
 
     Designs the optimal direct scheme for ``tau``; useful signals are the
-    non-default recommendations.  Raises Untestable when the threshold
-    cannot be tested at all.
+    non-default recommendations.  ``max_steps`` defaults to the design's
+    exact horizon for ``DEFAULT_TIMEOUT_DELTA``.  Raises Untestable when the
+    threshold cannot be tested at all.
     """
-    _, rows, is_useful, max_steps = _planner(instance)(tau, max_steps)
+    _, rows, is_useful, horizon = _planner(instance)(tau)
+    max_steps = horizon if max_steps is None else max_steps
     return _threshold_tests(instance, rows, instance.actions, is_useful, agent, rng, max_steps, 1, record_trace)[0]
 
 
@@ -255,15 +276,15 @@ def empirical_sample_complexity(
     designed useful mass, so the mean converges to its reciprocal.  The
     scheme is designed once, the agent is asked once per signal, and every
     trial runs a test on that scheme.  The standard error is None for a
-    single trial.
+    single trial.  Raises DegenerateParameters unless ``trials`` is an
+    integer of at least 1.
     """
     return _sample_complexity(instance, tau, agent, rng, trials)[0]
 
 
 def _sample_complexity(instance, tau, agent, rng, trials) -> tuple[ComplexityEstimate, float]:
     """``empirical_sample_complexity`` plus the expected test length of its design."""
-    if trials < 1:
-        raise DegenerateParameters(f"trials={trials}")
+    _check_count("trials", trials)
     p_star, rows, is_useful, max_steps = _planner(instance)(tau)
     tests = _threshold_tests(instance, rows, instance.actions, is_useful, agent, rng, max_steps, trials)
     steps = np.array([test.steps for test in tests], dtype=float)

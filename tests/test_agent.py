@@ -16,7 +16,7 @@ from biaslab import (
     sample_episode,
     uninformative_scheme,
 )
-from biaslab.agent import episode_sampler
+from biaslab.agent import _sampler
 from biaslab.core import ATOL
 from biaslab.errors import OutOfRangeBias, ZeroProbabilitySignal
 from conftest import random_instance, random_scheme
@@ -163,7 +163,7 @@ class TestSampleEpisode:
             raw *= rng.random((n_signals, inst.n_states)) < 0.4
             raw[rng.integers(n_signals, size=inst.n_states), range(inst.n_states)] = 1.0
             scheme = bl.SignalingScheme(signals=tuple(f"s{i}" for i in range(n_signals)), cond=raw / raw.sum(axis=0))
-            draw = episode_sampler(inst, scheme)
+            draw = _sampler(inst, scheme._rows)
             sent = [np.flatnonzero(column > 0.0) for column in scheme.cond.T]
             for r_state in (0.0, top):
                 t, s = draw(_Uniforms([r_state, 0.0]))
@@ -203,12 +203,6 @@ class TestSampleEpisode:
         )
         assert goods / 20_000 == pytest.approx(0.2, abs=0.01)
 
-    def test_sampler_kept_for_last_scheme(self, twostate_instance, designed):
-        other = uninformative_scheme(twostate_instance)
-        first = episode_sampler(twostate_instance, designed)
-        assert episode_sampler(twostate_instance, designed) is first
-        assert episode_sampler(twostate_instance, other) is not first
-
     def test_draws_match_numpy_tables(self):
         # Reference: the same two uniforms read through numpy's cumulative
         # tables; the sampler's Python-float tables must draw identically.
@@ -217,7 +211,7 @@ class TestSampleEpisode:
             inst = random_instance(rng, n_states=int(rng.integers(2, 7)))
             scheme = random_scheme(rng, inst.n_states, n_signals=int(rng.integers(2, 9)))
             state_cdf, signal_cdf = np.cumsum(inst.prior.probs), np.cumsum(scheme.cond, axis=0)
-            draw, ours, ref = episode_sampler(inst, scheme), np.random.default_rng(7), np.random.default_rng(7)
+            draw, ours, ref = _sampler(inst, scheme._rows), np.random.default_rng(7), np.random.default_rng(7)
             for _ in range(200):
                 t = min(int(np.searchsorted(state_cdf, ref.random(), side="right")), inst.n_states - 1)
                 s = int(np.searchsorted(signal_cdf[:, t], ref.random() * signal_cdf[-1, t], side="right"))

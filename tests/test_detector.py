@@ -66,6 +66,14 @@ class TestThresholdTest:
                 return
         pytest.fail("no timeout across 50 seeds with max_steps=1")
 
+    def test_numpy_integer_budgets(self, twostate_instance):
+        # numpy integers are step budgets and trial counts like ints.
+        agent = BiasedAgent(w=0.3)
+        a, b = (threshold_test(twostate_instance, 0.5, agent, np.random.default_rng(42), max_steps=n) for n in (9, np.int64(9)))
+        assert (a.verdict, a.steps) == (b.verdict, b.steps)
+        a, b = (empirical_sample_complexity(twostate_instance, 0.5, agent, np.random.default_rng(3), n) for n in (40, np.int32(40)))
+        assert a == b
+
     def test_deterministic_given_seed(self, twostate_instance):
         a = threshold_test(twostate_instance, 0.5, BiasedAgent(w=0.3), np.random.default_rng(42))
         b = threshold_test(twostate_instance, 0.5, BiasedAgent(w=0.3), np.random.default_rng(42))
@@ -228,7 +236,18 @@ class TestStepsForConfidence:
         assert exact <= bound
         assert exact * math.log1p(-p) <= math.log(DEFAULT_TIMEOUT_DELTA)
 
-    @pytest.mark.parametrize("p,d", [(0.0, 0.05), (1.2, 0.05), (0.5, 0.0), (0.5, 1.0)])
+    @pytest.mark.parametrize("p", [1e-23, 1e-100, 1e-300])
+    def test_horizons_beyond_two_to_53(self, p):
+        # Neighbouring integers share a double up here; each horizon is
+        # still the smallest t whose miss probability, in logs, reaches delta.
+        log_delta = math.log(DEFAULT_TIMEOUT_DELTA)
+        exact, bound = steps_for_confidence(p, DEFAULT_TIMEOUT_DELTA)
+        assert 2**53 < exact <= bound
+        for t, log_miss in ((exact, math.log1p(-p)), (bound, -p)):
+            assert t * log_miss <= log_delta < (t - 1) * log_miss
+
+    # At p = 5e-324, log(delta) / log1p(-p) overflows: no finite horizon.
+    @pytest.mark.parametrize("p,d", [(0.0, 0.05), (1.2, 0.05), (0.5, 0.0), (0.5, 1.0), (5e-324, DEFAULT_TIMEOUT_DELTA)])
     def test_degenerate(self, p, d):
         with pytest.raises(DegenerateParameters):
             steps_for_confidence(p, d)

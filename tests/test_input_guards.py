@@ -24,6 +24,7 @@ from biaslab import (
     best_response,
     construct_finite_scheme,
     design_scheme,
+    empirical_sample_complexity,
     generalized_membership,
     make_instance,
     preference_sign,
@@ -31,6 +32,7 @@ from biaslab import (
     scheme_from_posteriors,
     solve_lp,
     splitting_check,
+    threshold_test,
     threshold_test_on_scheme,
     translated_set_nonempty,
     verify_design,
@@ -76,6 +78,10 @@ def _relabelled_design(inst, signals):
     return verify_design(inst, 0.5, DesignResult(scheme, res.useful_mass, res.sample_complexity, 0.5))
 
 
+def _verify_at(inst, tau):
+    return verify_design(inst, tau, design_scheme(inst, 0.5))
+
+
 def _test_on_design(inst, useful, max_steps=1000):
     scheme = design_scheme(inst, 0.5).scheme
     return threshold_test_on_scheme(inst, scheme, useful, BiasedAgent(w=0.3), np.random.default_rng(0), max_steps)
@@ -98,12 +104,16 @@ GUARDS = [
     ("scheme-nan", lambda inst: SignalingScheme(("x", "y"), NAN_COND), ValueError, "finite"),
     ("scheme-json-nan", lambda inst: SignalingScheme.from_json_dict({"signals": ["x", "y"], "cond": NAN_COND}), ValueError, "finite"),
     ("scheme-no-signals", lambda inst: SignalingScheme((), np.zeros((0, 2))), ValueError, "sum to 1"),
+    ("scheme-string-labels", lambda inst: SignalingScheme("ab", np.eye(2)), ShapeMismatch, "list or tuple"),
+    ("scheme-mapping-labels", lambda inst: SignalingScheme({"a": 0, "b": 1}, np.eye(2)), ShapeMismatch, "list or tuple"),
+    ("scheme-json-string-labels", lambda inst: SignalingScheme.from_json_dict({"signals": "ab", "cond": COND.tolist()}), ShapeMismatch, "list or tuple"),
     ("scheme-unknown-signal", lambda inst: SignalingScheme(("x", "y"), COND).signal_index("z"), ShapeMismatch, "unknown signal"),
     ("split-count", lambda inst: scheme_from_posteriors(inst, [1.0], [HALF, HALF]), ShapeMismatch, "one weight per posterior"),
     ("split-negative-weight", lambda inst: scheme_from_posteriors(inst, [-0.5, 1.5], [HALF, HALF]), InconsistentSplit, "negative"),
     ("split-nan-weight", lambda inst: scheme_from_posteriors(inst, [np.nan, 1.0], [HALF, HALF]), InconsistentSplit, "finite"),
     ("split-empty", lambda inst: scheme_from_posteriors(inst, [], []), InconsistentSplit, "sum to 1"),
     ("split-weight-sum", lambda inst: scheme_from_posteriors(inst, [0.5, 0.6], [HALF, HALF]), InconsistentSplit, "sum to"),
+    ("split-string-labels", lambda inst: scheme_from_posteriors(inst, [0.4, 0.6], [HALF, Belief([0.0, 1.0])], "ab"), ShapeMismatch, "list or tuple"),
     ("split-dimension", lambda inst: scheme_from_posteriors(inst, [1.0], [Belief(np.full(3, 1.0 / 3.0))]), ShapeMismatch, "dimension"),
     ("preference-w", lambda inst: preference_sign(inst, design_scheme(inst, 0.5).scheme, "Active", "Active", "Passive", 1.5), OutOfRangeBias, "outside"),
     ("membership-default", lambda inst: generalized_membership(LinearBias(), inst, HALF, "Passive", 0.5), ValueError, "non-default"),
@@ -114,12 +124,22 @@ GUARDS = [
     ("verify-swapped-labels", lambda inst: _relabelled_design(inst, ("Passive", "Active")), VerificationFailed, "are not the actions"),
     ("verify-foreign-labels", lambda inst: _relabelled_design(inst, ("x", "y")), VerificationFailed, "are not the actions"),
     ("verify-nan-scheme", _nan_design, VerificationFailed, r"optimality.*nan.*indifference.*nan.*distribution: nan"),
+    ("verify-tau-0", lambda inst: _verify_at(inst, 0.0), OutOfRangeThreshold, "outside"),
+    ("verify-tau-1", lambda inst: _verify_at(inst, 1.0), OutOfRangeThreshold, "outside"),
+    ("verify-tau-1.5", lambda inst: _verify_at(inst, 1.5), OutOfRangeThreshold, "outside"),
+    ("verify-tau-negative", lambda inst: _verify_at(inst, -0.2), OutOfRangeThreshold, "outside"),
+    ("verify-tau-nan", lambda inst: _verify_at(inst, np.nan), OutOfRangeThreshold, "outside"),
     ("utility-overflow-2x2", lambda inst: make_instance(["a", "b"], ["x", "y"], [0.2, 0.8], OVERFLOW_2X2), ShapeMismatch, "differences"),
     ("utility-overflow-2x3", lambda inst: make_instance(["a", "b"], ["x", "y", "z"], [0.5, 0.5], OVERFLOW_2X3), ShapeMismatch, "differences"),
     ("test-unknown-signal", lambda inst: _test_on_design(inst, ["Activ"]), ShapeMismatch, "unknown signal 'Activ'"),
     ("test-no-useful-signals", lambda inst: _test_on_design(inst, []), DegenerateParameters, "no useful signals"),
     ("test-max-steps-zero", lambda inst: _test_on_design(inst, ["Active"], max_steps=0), DegenerateParameters, "max_steps=0"),
     ("test-max-steps-negative", lambda inst: _test_on_design(inst, ["Active"], max_steps=-3), DegenerateParameters, "max_steps=-3"),
+    ("test-max-steps-fraction", lambda inst: _test_on_design(inst, ["Active"], max_steps=2.5), DegenerateParameters, r"max_steps=2\.5"),
+    ("threshold-test-max-steps-fraction",
+     lambda inst: threshold_test(inst, 0.5, BiasedAgent(w=0.3), np.random.default_rng(0), max_steps=2.5), DegenerateParameters, r"max_steps=2\.5"),
+    ("complexity-trials-fraction",
+     lambda inst: empirical_sample_complexity(inst, 0.5, BiasedAgent(w=0.3), np.random.default_rng(0), 2.5), DegenerateParameters, r"trials=2\.5"),
     ("prior-nan", lambda inst: make_instance(["a", "b"], ["x", "y"], [np.nan, 1.0], [[1.0, 0.0], [0.0, 0.5]]), NonSimplexPrior, "finite"),
     ("lp-nan-objective", lambda inst: solve_lp(_one_variable_lp(objective=np.nan)), Numerical, "not finite"),
     ("lp-nan-row", lambda inst: solve_lp(_one_variable_lp(ge=np.nan, eq=False)), Numerical, "inequality residual"),
