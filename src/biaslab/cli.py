@@ -67,6 +67,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="biaslab", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # run_cli's dispatch: subcommand name -> its parser, as add_parser fills it.
+    parser.subcommands = sub.choices
 
     def add_agent_flags(p):
         p.add_argument("--w", type=float, required=True, help="hidden bias level of the simulated agent")
@@ -206,12 +208,27 @@ def _run(args) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)`` in one argparse pass where it can.
+
+    When the first argument names a subcommand, the top-level parser would
+    only hand the rest to that subcommand's parser and set ``subcommand``,
+    so the rest goes there directly: the same parser objects give the same
+    namespace, messages and exits.  Help, an empty argv and an unknown
+    subcommand take the top-level parser."""
+    parser = _build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.subcommand = argv[0]
+    return args
+
+
 def run_cli(argv) -> tuple[int, str]:
     """Dispatch one invocation; returns (exit code, stdout text)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
-        return _run(args)
+        return _run(_parse(list(argv)))
     except BiasLabError as exc:
         print(f"biaslab: {exc}", file=sys.stderr)
         code = next((code for classes, code in _EXIT_CODES if isinstance(exc, classes)), 1)
@@ -223,3 +240,7 @@ def main() -> None:
     if out:
         sys.stdout.write(out)
     raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    main()

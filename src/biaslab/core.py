@@ -536,19 +536,26 @@ def best_response(
     _check_states(instance, belief.dim, "belief")
     probs = belief._floats
     eu = [_fsum(row, probs) for row in instance._rows]
+    pick, tie = _pick(eu, instance.default_index, tiebreak)
+    return BestResponse(instance.actions[pick], eu[pick], tie)
+
+
+def _pick(eu: Sequence[float], d: int, tiebreak: TieBreak) -> tuple:
+    """``best_response``'s rule: the index of the action picked from the
+    expected utilities ``eu``, with default action index ``d``, and whether
+    it was a tie."""
     floor = max(eu) - ATOL
     tied = [a for a, value in enumerate(eu) if value >= floor]
     tie = len(tied) > 1
     pick = tied[0]
     if tie:
-        d = instance.default_index
         if tiebreak is TieBreak.PREFER_DEFAULT and d in tied:
             pick = d
         elif tiebreak is TieBreak.PREFER_NON_DEFAULT:
             non_default = [a for a in tied if a != d]
             if non_default:
                 pick = non_default[0]
-    return BestResponse(instance.actions[pick], eu[pick], tie)
+    return pick, tie
 
 
 def splitting_check(instance: Instance, scheme: SignalingScheme) -> float:

@@ -9,14 +9,14 @@ for the hidden bias level.
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .agent import BiasedAgent, _responder, _sampler
 from .core import ZERO_MASS, Instance, SignalingScheme, _bisect, _check_states
 from .design import _knapsack, design_scheme
-from .errors import DegenerateParameters, NothingTestable, ShapeMismatch, Timeout
+from .errors import DegenerateParameters, NothingTestable, ShapeMismatch
 from .geometry import testable_range
 
 # Default step budget: the exact horizon for residual failure probability
@@ -127,17 +127,6 @@ def _first_horizon(log_miss: float, log_delta: float) -> int:
     return t
 
 
-def _first_useful(draw, rng, is_useful, max_steps: int) -> tuple:
-    """Run episodes through ``draw`` until a signal flagged by
-    ``is_useful`` lands; return the number of episodes and that signal's
-    index.  Raises Timeout after ``max_steps`` episodes."""
-    for step in range(1, max_steps + 1):
-        s = draw(rng)[1]
-        if is_useful[s]:
-            return step, s
-    raise Timeout(max_steps)
-
-
 def _check_count(name: str, count) -> None:
     """Raise DegenerateParameters naming ``count`` unless it is an integer
     (numpy's included) of at least 1."""
@@ -152,32 +141,30 @@ def _threshold_tests(instance, rows, signals, is_useful, agent, rng, max_steps, 
 
     ``is_useful`` flags the useful signals by index.  The step budget is
     checked here, the one place that checks it; the callers have checked
-    the other inputs, so nothing is checked twice.  The sampler is built
-    once, and the agent's response to a signal, fixed for one scheme and
-    agent, is computed when an episode first needs it.  With
+    the other inputs, so nothing is checked twice.  The episode loop is
+    built once, and the agent's response to a signal, fixed for one scheme
+    and agent, is computed when a verdict or a trace first needs it.  With
     ``record_trace`` each verdict keeps its episodes.
     """
     _check_count("max_steps", max_steps)
-    draw, respond = _sampler(instance, rows), _responder(agent, instance)
+    run, respond = _sampler(instance, rows), _responder(agent, instance)
     responses = {}  # signal index -> the agent's action
-    trace = []
+    episodes = [] if record_trace else None
 
     def response(s: int) -> str:
         if s not in responses:
             responses[s] = respond(rows[s], signals[s])
         return responses[s]
 
-    def recorded(rng) -> tuple:
-        t, s = draw(rng)
-        trace.append((instance.states[t], signals[s], response(s)))
-        return t, s
-
     results = []
     for _ in range(trials):
-        steps, s = _first_useful(recorded if record_trace else draw, rng, is_useful, max_steps)
+        steps, _, s = run(rng, is_useful, max_steps, episodes)
         verdict = Verdict.GEQ if response(s) == instance.default_action else Verdict.LEQ
-        results.append(ThresholdVerdict(verdict=verdict, steps=steps, trace=tuple(trace) if record_trace else None))
-        trace.clear()
+        trace = None
+        if record_trace:
+            trace = tuple((instance.states[t], signals[u], response(u)) for t, u in episodes)
+            episodes.clear()
+        results.append(ThresholdVerdict(verdict=verdict, steps=steps, trace=trace))
     return results
 
 
@@ -197,9 +184,13 @@ def threshold_test_on_scheme(
     for, anything else means at or below.  Raises Timeout if no useful
     signal lands within ``max_steps``, DegenerateParameters if
     ``useful_signals`` is empty or ``max_steps`` is not an integer of at
-    least 1, and ShapeMismatch if a useful signal is not one of the
-    scheme's or the scheme does not cover the instance's states.
+    least 1, and ShapeMismatch if ``useful_signals`` is a string or a
+    mapping, a useful signal is not one of the scheme's or the scheme does
+    not cover the instance's states.
     """
+    # A string or a mapping would iterate into signals of its own.
+    if isinstance(useful_signals, (str, Mapping)):
+        raise ShapeMismatch("useful signals must be a collection of labels, not a string or a mapping")
     useful = set(useful_signals)
     if not useful:
         raise DegenerateParameters("no useful signals")
@@ -226,19 +217,17 @@ def _planner(instance: Instance):
         # no second product with the prior is needed.
         is_useful = [a != d for a in range(2)]
 
-        def design(tau: float) -> tuple:
-            return (*rows_at(tau), is_useful)
+        def plan(tau: float) -> tuple:
+            p_star, rows = rows_at(tau)
+            return p_star, rows, is_useful, _exact_horizon(p_star, _LOG_TIMEOUT_DELTA)
 
     else:
 
-        def design(tau: float) -> tuple:
+        def plan(tau: float) -> tuple:
             result = design_scheme(instance, tau)
-            probs = result.scheme.signal_probs(instance.prior)
-            return result.useful_mass, result.scheme._rows, [a != d and p > ZERO_MASS for a, p in enumerate(probs)]
-
-    def plan(tau: float) -> tuple:
-        p_star, rows, is_useful = design(tau)
-        return p_star, rows, is_useful, _exact_horizon(p_star, _LOG_TIMEOUT_DELTA)
+            p_star, probs = result.useful_mass, result.scheme.signal_probs(instance.prior)
+            is_useful = [a != d and p > ZERO_MASS for a, p in enumerate(probs)]
+            return p_star, result.scheme._rows, is_useful, _exact_horizon(p_star, _LOG_TIMEOUT_DELTA)
 
     return plan
 
@@ -337,7 +326,7 @@ def estimate_bias(
     def at_or_above(tau: float) -> bool:
         # threshold_test's one trial, without its verdict or response memo.
         _, rows, is_useful, max_steps = plan(tau)
-        s = _first_useful(_sampler(instance, rows), rng, is_useful, max_steps)[1]
+        s = _sampler(instance, rows)(rng, is_useful, max_steps)[2]
         return respond(rows[s], instance.actions[s]) == instance.default_action
 
     lo, hi, queries = _bisect(at_or_above, 0.0, tau_max, epsilon)

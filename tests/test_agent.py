@@ -18,7 +18,7 @@ from biaslab import (
 )
 from biaslab.agent import _sampler
 from biaslab.core import ATOL
-from biaslab.errors import OutOfRangeBias, ZeroProbabilitySignal
+from biaslab.errors import OutOfRangeBias, Timeout, ZeroProbabilitySignal
 from conftest import random_instance, random_scheme
 
 
@@ -163,12 +163,12 @@ class TestSampleEpisode:
             raw *= rng.random((n_signals, inst.n_states)) < 0.4
             raw[rng.integers(n_signals, size=inst.n_states), range(inst.n_states)] = 1.0
             scheme = bl.SignalingScheme(signals=tuple(f"s{i}" for i in range(n_signals)), cond=raw / raw.sum(axis=0))
-            draw = _sampler(inst, scheme._rows)
+            run, every = _sampler(inst, scheme._rows), [True] * n_signals
             sent = [np.flatnonzero(column > 0.0) for column in scheme.cond.T]
             for r_state in (0.0, top):
-                t, s = draw(_Uniforms([r_state, 0.0]))
+                _, t, s = run(_Uniforms([r_state, 0.0]), every, 1)
                 assert s == sent[t][0]
-                t, s = draw(_Uniforms([r_state, top]))
+                _, t, s = run(_Uniforms([r_state, top]), every, 1)
                 assert s < n_signals and scheme.cond[s, t] > 0.0
 
     def test_empirical_signal_frequency(self, twostate_instance, designed):
@@ -211,13 +211,38 @@ class TestSampleEpisode:
             inst = random_instance(rng, n_states=int(rng.integers(2, 7)))
             scheme = random_scheme(rng, inst.n_states, n_signals=int(rng.integers(2, 9)))
             state_cdf, signal_cdf = np.cumsum(inst.prior.probs), np.cumsum(scheme.cond, axis=0)
-            draw, ours, ref = _sampler(inst, scheme._rows), np.random.default_rng(7), np.random.default_rng(7)
+            run, ours, ref = _sampler(inst, scheme._rows), np.random.default_rng(7), np.random.default_rng(7)
+            every = [True] * scheme.n_signals
             for _ in range(200):
                 t = min(int(np.searchsorted(state_cdf, ref.random(), side="right")), inst.n_states - 1)
                 s = int(np.searchsorted(signal_cdf[:, t], ref.random() * signal_cdf[-1, t], side="right"))
                 if s >= scheme.n_signals:
                     s = int(np.flatnonzero(scheme.cond[:, t] > 0.0).max())
-                assert draw(ours) == (t, s)
+                assert run(ours, every, 1)[1:] == (t, s)
+
+    def test_run_traces_every_episode_and_times_out(self):
+        # One run is its episodes one by one: the trace holds each draw of
+        # a one-episode run on a twin generator, and the run ends at the
+        # first useful signal, or raises Timeout after max_steps episodes
+        # having drawn two uniforms for each.
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            inst = random_instance(rng, n_states=int(rng.integers(2, 6)))
+            scheme = random_scheme(rng, inst.n_states, n_signals=int(rng.integers(2, 6)))
+            run, every = _sampler(inst, scheme._rows), [True] * scheme.n_signals
+            for is_useful in ([s == 0 for s in range(scheme.n_signals)], [False] * scheme.n_signals):
+                seed = int(rng.integers(1 << 30))
+                ours, twin, trace = np.random.default_rng(seed), np.random.default_rng(seed), []
+                try:
+                    steps, t, s = run(ours, is_useful, 30, trace)
+                except Timeout as exc:
+                    assert not any(is_useful) and exc.steps == 30
+                    steps = 30
+                else:
+                    assert is_useful[s] and trace[-1] == (t, s)
+                    assert not any(is_useful[u] for _, u in trace[:-1])
+                assert trace == [run(twin, every, 1)[1:] for _ in range(steps)]
+                assert ours.bit_generator.state == twin.bit_generator.state
 
 
 class TestSingleCrossing:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from biaslab.cli import main, run_cli
+from biaslab.cli import _EXIT_CODES, _build_parser, _parse, _run, main, run_cli
+from biaslab.errors import BiasLabError
 
 
 @pytest.fixture
@@ -328,3 +332,88 @@ class TestMain:
         assert (exit_info.value.code, captured.out) == expected
         assert captured.err == expected_err
         assert exit_info.value.code == code
+
+
+# "FILE" stands for the canonical instance file.
+DISPATCH_CASES = {
+    "design": ["design", "--instance", "FILE", "--tau", "0.5"],
+    "classify": ["classify", "--instance", "FILE", "--tau", "0.8"],
+    "simulate": ["simulate", "--instance", "FILE", "--tau", "0.5", "--w", "0.3", "--trials", "20", "--seed", "1"],
+    "estimate": ["estimate", "--instance", "FILE", "--w", "0.3", "--epsilon", "0.02", "--seed", "1"],
+    "estimate-warped": ESTIMATE[:1] + ["--instance", "FILE"] + ESTIMATE[1:] + WARPED + ["2.0", "--tiebreak", "prefer-nondefault"],
+    "sweep": ["sweep", "--instance", "FILE", "--tau-grid", "0.2,0.7", "--format", "json"],
+    "empty": [],
+    "help": ["-h"],
+    "subcommand-help": ["estimate", "-h"],
+    "unknown-subcommand": ["nosuch"],
+    "missing-required-flag": ["estimate", "--instance", "FILE", "--w", "0.3"],
+    "bad-bias-model": ["estimate", "--instance", "FILE", "--w", "0.3", "--epsilon", "0.1", "--bias-model", "cubic"],
+    "bad-float": ["design", "--instance", "FILE", "--tau", "half"],
+    "unrecognised-flag": ["design", "--instance", "FILE", "--tau", "0.5", "--bogus"],
+}
+
+
+def _full_parse(argv) -> tuple:
+    """(exit code, stdout text, stderr text) of ``_build_parser().parse_args``
+    followed by ``_run``, as run_cli reported them before it dispatched on
+    the subcommand; a SystemExit propagates."""
+    try:
+        code, out = _run(_build_parser().parse_args(argv))
+    except BiasLabError as exc:
+        code = next((code for classes, code in _EXIT_CODES if isinstance(exc, classes)), 1)
+        return code, "", f"biaslab: {exc}\n"
+    return code, out, ""
+
+
+def _namespace(parse, argv):
+    """The namespace ``parse(argv)`` returns, or the kind of error it raises."""
+    try:
+        return parse(argv)
+    except (BiasLabError, SystemExit) as exc:
+        return type(exc)
+
+
+def _outcome(call, argv, capsys) -> tuple:
+    """What ``call(argv)`` returns or exits with, and what it prints."""
+    try:
+        result = call(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestDispatch:
+    """run_cli parses a named subcommand with that subcommand's parser only;
+    every invocation must come out as the full parser's would."""
+
+    @pytest.mark.parametrize("argv", DISPATCH_CASES.values(), ids=DISPATCH_CASES.keys())
+    def test_matches_full_parser(self, argv, instance_file, capsys):
+        argv = [instance_file if a == "FILE" else a for a in argv]
+        ours = _outcome(run_cli, argv, capsys)
+        full = _outcome(_full_parse, argv, capsys)
+        if full[0][0] == "exit":
+            assert ours == full  # the same exit code and help or usage text
+        else:
+            code, out, err = full[0]
+            assert ours == ((code, out), "", err)
+            assert len(err.splitlines()) <= 1
+        assert _namespace(_parse, argv) == _namespace(_build_parser().parse_args, argv)
+
+    def test_every_subcommand_is_dispatched(self):
+        assert set(_build_parser().subcommands) == {"design", "classify", "simulate", "estimate", "sweep"}
+        named = {argv[0] for argv in DISPATCH_CASES.values() if argv and argv[0] in _build_parser().subcommands}
+        assert named == set(_build_parser().subcommands)
+
+
+def test_module_entry_point(instance_file):
+    # ``python -m biaslab.cli`` is the console script: classify at an
+    # untestable threshold exits 3 with run_cli's JSON on stdout.
+    argv = ["classify", "--instance", instance_file, "--tau", "0.8"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "biaslab.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == run_cli(argv)
+    assert proc.returncode == 3 and json.loads(proc.stdout)["verdict"] == "untestable"

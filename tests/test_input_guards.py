@@ -133,6 +133,8 @@ GUARDS = [
     ("utility-overflow-2x3", lambda inst: make_instance(["a", "b"], ["x", "y", "z"], [0.5, 0.5], OVERFLOW_2X3), ShapeMismatch, "differences"),
     ("test-unknown-signal", lambda inst: _test_on_design(inst, ["Activ"]), ShapeMismatch, "unknown signal 'Activ'"),
     ("test-no-useful-signals", lambda inst: _test_on_design(inst, []), DegenerateParameters, "no useful signals"),
+    ("test-string-useful-signals", lambda inst: _test_on_design(inst, "Active"), ShapeMismatch, "not a string or a mapping"),
+    ("test-mapping-useful-signals", lambda inst: _test_on_design(inst, {"Active": True}), ShapeMismatch, "not a string or a mapping"),
     ("test-max-steps-zero", lambda inst: _test_on_design(inst, ["Active"], max_steps=0), DegenerateParameters, "max_steps=0"),
     ("test-max-steps-negative", lambda inst: _test_on_design(inst, ["Active"], max_steps=-3), DegenerateParameters, "max_steps=-3"),
     ("test-max-steps-fraction", lambda inst: _test_on_design(inst, ["Active"], max_steps=2.5), DegenerateParameters, r"max_steps=2\.5"),
