@@ -47,7 +47,7 @@ from .geometry import (
     testable_range,
     translated_set_nonempty,
 )
-from .agent import BiasedAgent, agent_act, preference_sign, sample_episode
+from .agent import BiasedAgent, agent_act, sample_episode
 from .bias_models import (
     AssumptionReport,
     BiasFunction,
@@ -120,7 +120,6 @@ __all__ = [
     "indifference_offset",
     "load_instance",
     "make_instance",
-    "preference_sign",
     "sample_episode",
     "scheme_from_posteriors",
     "solve_lp",

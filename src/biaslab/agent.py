@@ -2,8 +2,7 @@
 
 The agent knows the committed scheme, so it computes the correct Bayesian
 posterior for each signal; the distortion happens only when mixing that
-posterior back toward the prior.  ``preference_sign`` is the algebraic
-shortcut for the same comparison, used to cross-validate simulations.
+posterior back toward the prior.
 """
 
 from bisect import bisect_right
@@ -13,8 +12,6 @@ from itertools import accumulate
 import numpy as np
 
 from .core import (
-    ATOL,
-    ZERO_MASS,
     Instance,
     SignalingScheme,
     TieBreak,
@@ -25,7 +22,7 @@ from .core import (
     _posterior,
 )
 from .bias_models import BiasFunction, LinearBias
-from .errors import Timeout, ZeroProbabilitySignal
+from .errors import Timeout
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,32 +60,6 @@ def _responder(agent: BiasedAgent, instance: Instance):
         return actions[_pick([_fsum(r, probs) for r in rows], d, tiebreak)[0]]
 
     return respond
-
-
-def preference_sign(
-    instance: Instance, scheme: SignalingScheme, signal, a1, a2, w: float
-) -> int:
-    """Sign of the agent's preference for ``a1`` over ``a2`` given ``signal``.
-
-    +1 when a level-``w`` agent strictly prefers a1, -1 when it strictly
-    prefers a2, 0 when their expected-utility gap under the linear
-    distorted belief is within ``ATOL``, the agent's own tie band.  That
-    gap is evaluated without forming the posterior: the mass-weighted
-    expression, divided once by the signal's mass.
-    """
-    _check_level(w)
-    _check_states(instance, scheme.n_states, "scheme")
-    s = scheme.signal_index(signal)
-    mu0, rows = instance._prior, instance._rows
-    mass = _fsum(scheme._rows[s], mu0)
-    if mass <= ZERO_MASS:
-        raise ZeroProbabilitySignal(f"signal {signal!r} is never sent")
-    du = [x - y for x, y in zip(rows[instance.action_index(a1)], rows[instance.action_index(a2)])]
-    keep, shift = 1.0 - w, w * _fsum(mu0, du)
-    gap = _fsum([c * m for c, m in zip(scheme._rows[s], mu0)], [keep * x + shift for x in du]) / mass
-    if abs(gap) <= ATOL:
-        return 0
-    return 1 if gap > 0 else -1
 
 
 def _sampler(instance: Instance, rows):

@@ -26,6 +26,7 @@ from .core import (
     vertex_belief,
 )
 from .errors import NotSingleCrossing, Untestable
+from .geometry import _gap_row
 
 _W_GRID = np.linspace(0.0, 1.0, 101)
 
@@ -209,11 +210,8 @@ def crossing_level(phi: BiasFunction, instance: Instance, posterior: Belief) -> 
 def generalized_membership(phi: BiasFunction, instance: Instance, mu: Belief, action, tau: float) -> bool:
     """Is ``mu`` a posterior that makes a level-``tau`` agent indifferent
     between ``action`` and the default, with both weakly optimal?"""
-    if action == instance.default_action:
-        raise ValueError("membership is defined for non-default actions")
+    row = _gap_row(instance, action)
     _check_threshold(tau)
-    row = instance.action_index(action)
-    row -= row > instance.default_index  # the gap rows skip the default action
     values = _gap_values(instance, phi.evaluate(instance.prior, mu, tau))
     return abs(values[row]) <= ATOL and min(values) >= -ATOL
 

@@ -129,8 +129,8 @@ def _first_horizon(log_miss: float, log_delta: float) -> int:
 
 def _check_count(name: str, count) -> None:
     """Raise DegenerateParameters naming ``count`` unless it is an integer
-    (numpy's included) of at least 1."""
-    if not isinstance(count, numbers.Integral) or count < 1:
+    (numpy's included, but not a bool) of at least 1."""
+    if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 1:
         raise DegenerateParameters(f"{name}={count}")
 
 

@@ -12,10 +12,12 @@ from biaslab import (
     TieBreak,
     Verdict,
     WarpedLinear,
+    bayes_posterior,
+    best_response,
+    biased_belief,
     design_scheme,
     empirical_sample_complexity,
     estimate_bias,
-    preference_sign,
     sample_episode,
     steps_for_confidence,
     threshold_test,
@@ -362,8 +364,9 @@ class TestEstimateBias:
         # agent is tied at the bracket's edge.
         if not iv.lo <= w <= iv.hi:
             edge = iv.lo if w < iv.lo else iv.hi
-            scheme = design_scheme(inst, edge).scheme
-            assert preference_sign(inst, scheme, "Active", "Active", "Passive", w) == 0
+            scheme = _knapsack_design(inst, edge).scheme  # the two-action search's rows
+            nu = biased_belief(inst.prior, bayes_posterior(inst, scheme, "Active"), w)
+            assert best_response(inst, nu).tie
 
     def test_nothing_testable(self):
         inst = bl.make_instance(

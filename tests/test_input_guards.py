@@ -27,7 +27,6 @@ from biaslab import (
     empirical_sample_complexity,
     generalized_membership,
     make_instance,
-    preference_sign,
     sample_episode,
     scheme_from_posteriors,
     solve_lp,
@@ -38,11 +37,11 @@ from biaslab import (
     verify_design,
 )
 from biaslab.errors import (
+    DefaultActionGap,
     DegenerateParameters,
     InconsistentSplit,
     NonSimplexPrior,
     Numerical,
-    OutOfRangeBias,
     OutOfRangeThreshold,
     ShapeMismatch,
     VerificationFailed,
@@ -115,8 +114,7 @@ GUARDS = [
     ("split-weight-sum", lambda inst: scheme_from_posteriors(inst, [0.5, 0.6], [HALF, HALF]), InconsistentSplit, "sum to"),
     ("split-string-labels", lambda inst: scheme_from_posteriors(inst, [0.4, 0.6], [HALF, Belief([0.0, 1.0])], "ab"), ShapeMismatch, "list or tuple"),
     ("split-dimension", lambda inst: scheme_from_posteriors(inst, [1.0], [Belief(np.full(3, 1.0 / 3.0))]), ShapeMismatch, "dimension"),
-    ("preference-w", lambda inst: preference_sign(inst, design_scheme(inst, 0.5).scheme, "Active", "Active", "Passive", 1.5), OutOfRangeBias, "outside"),
-    ("membership-default", lambda inst: generalized_membership(LinearBias(), inst, HALF, "Passive", 0.5), ValueError, "non-default"),
+    ("membership-default", lambda inst: generalized_membership(LinearBias(), inst, HALF, "Passive", 0.5), DefaultActionGap, "no gap vector"),
     ("membership-tau", lambda inst: generalized_membership(LinearBias(), inst, HALF, "Active", 1.0), OutOfRangeThreshold, "outside"),
     ("finite-scheme-tau", lambda inst: construct_finite_scheme(LinearBias(), inst, 0.0), OutOfRangeThreshold, "outside"),
     ("translated-set-tau", lambda inst: translated_set_nonempty(inst, "Active", 1.0), OutOfRangeThreshold, "outside"),
@@ -138,10 +136,15 @@ GUARDS = [
     ("test-max-steps-zero", lambda inst: _test_on_design(inst, ["Active"], max_steps=0), DegenerateParameters, "max_steps=0"),
     ("test-max-steps-negative", lambda inst: _test_on_design(inst, ["Active"], max_steps=-3), DegenerateParameters, "max_steps=-3"),
     ("test-max-steps-fraction", lambda inst: _test_on_design(inst, ["Active"], max_steps=2.5), DegenerateParameters, r"max_steps=2\.5"),
+    ("test-max-steps-bool", lambda inst: _test_on_design(inst, ["Active"], max_steps=True), DegenerateParameters, "max_steps=True"),
+    ("threshold-test-max-steps-bool",
+     lambda inst: threshold_test(inst, 0.5, BiasedAgent(w=0.3), np.random.default_rng(0), max_steps=True), DegenerateParameters, "max_steps=True"),
     ("threshold-test-max-steps-fraction",
      lambda inst: threshold_test(inst, 0.5, BiasedAgent(w=0.3), np.random.default_rng(0), max_steps=2.5), DegenerateParameters, r"max_steps=2\.5"),
     ("complexity-trials-fraction",
      lambda inst: empirical_sample_complexity(inst, 0.5, BiasedAgent(w=0.3), np.random.default_rng(0), 2.5), DegenerateParameters, r"trials=2\.5"),
+    ("complexity-trials-bool",
+     lambda inst: empirical_sample_complexity(inst, 0.5, BiasedAgent(w=0.3), np.random.default_rng(0), True), DegenerateParameters, "trials=True"),
     ("prior-nan", lambda inst: make_instance(["a", "b"], ["x", "y"], [np.nan, 1.0], [[1.0, 0.0], [0.0, 0.5]]), NonSimplexPrior, "finite"),
     ("lp-nan-objective", lambda inst: solve_lp(_one_variable_lp(objective=np.nan)), Numerical, "not finite"),
     ("lp-nan-row", lambda inst: solve_lp(_one_variable_lp(ge=np.nan, eq=False)), Numerical, "inequality residual"),
@@ -170,7 +173,6 @@ STATE_COUNT_CALLS = {
         inst, scheme, ["Active"], BiasedAgent(w=0.3), np.random.default_rng(0), 100
     ),
     "splitting_check": lambda inst, scheme, belief: splitting_check(inst, scheme),
-    "preference_sign": lambda inst, scheme, belief: preference_sign(inst, scheme, "Active", "Active", "Passive", 0.3),
     "best_response": lambda inst, scheme, belief: best_response(inst, belief),
 }
 
