@@ -16,7 +16,8 @@ from biaslab import (
     uninformative_scheme,
 )
 from biaslab.agent import _sampler
-from biaslab.errors import OutOfRangeBias, Timeout
+from biaslab.core import ATOL
+from biaslab.errors import OutOfRangeBias, Timeout, ZeroProbabilitySignal
 from conftest import random_instance, random_scheme
 
 
@@ -62,6 +63,68 @@ class TestAgentAct:
             for s in scheme.signals:
                 post = bayes_posterior(inst, scheme, s)
                 assert agent_act(agent, inst, scheme, s) == best_response(inst, post).action
+
+    def test_zero_probability_signal(self, twostate_instance):
+        scheme = bl.SignalingScheme(signals=("u", "v"), cond=np.array([[1.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ZeroProbabilitySignal):
+            agent_act(BiasedAgent(w=0.5), twostate_instance, scheme, "v")
+
+    def test_matches_direct_utility_comparison(self):
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            inst = random_instance(rng)
+            scheme = random_scheme(rng, inst.n_states)
+            s = scheme.signals[int(rng.integers(scheme.n_signals))]
+            w = float(rng.uniform(0, 1))
+            try:
+                post = bayes_posterior(inst, scheme, s)
+            except ZeroProbabilitySignal:
+                continue
+            eu = inst.expected_utilities(biased_belief(inst.prior, post, w))
+            best, runner_up = np.sort(eu)[::-1][:2]
+            # The agent takes the argmax wherever rounding cannot move the
+            # gap to the runner-up across the band's edge.
+            if best - runner_up >= 2 * ATOL:
+                assert agent_act(BiasedAgent(w=w), inst, scheme, s) == inst.actions[int(np.argmax(eu))]
+
+    def test_agent_gap_just_above_the_band(self, twostate_instance):
+        # The agent's expected-utility gap is 5.0e-9, no tie, so the agent
+        # takes the action above the band, not the default.
+        scheme = bl.SignalingScheme(signals=("x", "y"), cond=np.array([[0.5, 0.02], [0.5, 0.98]]))
+        w = 0.5468749962239584
+        nu = biased_belief(twostate_instance.prior, bayes_posterior(twostate_instance, scheme, "x"), w)
+        assert best_response(twostate_instance, nu) == ("Active", pytest.approx(5.0e-9, rel=1e-6), False)
+        assert agent_act(BiasedAgent(w=w), twostate_instance, scheme, "x") == "Active"
+
+    def test_agrees_with_best_response_outside_twice_the_band(self):
+        # Levels are drawn a few ATOL from the agent's indifference level, so
+        # the gaps compared lie near the band, not only far from it.
+        rng = np.random.default_rng(29)
+        near = 0
+        for _ in range(1000):
+            inst = random_instance(rng, n_actions=2)
+            scheme = random_scheme(rng, inst.n_states)
+            s = scheme.signals[int(rng.integers(scheme.n_signals))]
+            a1, a2 = rng.permutation(inst.actions)
+            i1, i2 = inst.action_index(a1), inst.action_index(a2)
+            post = bayes_posterior(inst, scheme, s)
+            g_post, g_prior = (float(eu[i1] - eu[i2]) for eu in map(inst.expected_utilities, (post, inst.prior)))
+            if not 0.0 < g_post / (g_post - g_prior) < 1.0:
+                continue
+            w = g_post / (g_post - g_prior) + rng.uniform(-10.0, 10.0) * ATOL / abs(g_post - g_prior)
+            if not 0.0 <= w <= 1.0:
+                continue
+            nu = biased_belief(inst.prior, post, w)
+            eu = inst.expected_utilities(nu)
+            gap = float(eu[i1] - eu[i2])
+            if abs(gap) < 2 * ATOL:
+                continue
+            near += abs(gap) < 10 * ATOL
+            response = best_response(inst, nu)
+            assert not response.tie
+            assert response.action == (a1 if gap > 0 else a2)
+            assert agent_act(BiasedAgent(w=w), inst, scheme, s) == response.action
+        assert near > 50
 
 
 class _Uniforms:
