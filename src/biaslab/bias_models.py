@@ -22,8 +22,6 @@ from .core import (
     _check_threshold,
     _fsum,
     biased_belief,
-    scheme_from_posteriors,
-    vertex_belief,
 )
 from .errors import NotSingleCrossing, Untestable
 from .geometry import _gap_row
@@ -236,63 +234,58 @@ class FiniteSchemeResult:
 def construct_finite_scheme(phi: BiasFunction, instance: Instance, tau: float) -> FiniteSchemeResult:
     """Build a finite-sample test scheme for an arbitrary bias model.
 
-    For each state vertex whose distorted image leaves the default region,
-    bisect along the segment from the prior to the vertex until the image
-    lands on the boundary; that point becomes the boundary posterior, the
-    other states are revealed directly, and the split weights follow from
-    writing the prior as a combination of the boundary posterior and the
-    remaining vertices.  The qualifying vertex with the heaviest boundary
-    signal wins.  Raises Untestable when no vertex qualifies.
+    For each state vertex k whose distorted image leaves the default
+    region, bisect along the segment from the prior mu to the vertex until
+    the image lands on the boundary, at t_hat.  That point b, with
+    b_k = t_hat + (1 - t_hat) * mu_k and b_j = (1 - t_hat) * mu_j, is the
+    boundary posterior, and the other states are revealed directly (the
+    splitting lemma).  The split is written in closed form: with useful
+    mass m = mu_k / b_k, ``probe`` is sent with probability 1 in state k
+    and m * (1 - t_hat) in every other state j, and ``reveal_j`` gets the
+    rest of state j, 1 - m * (1 - t_hat).  The qualifying vertex with the
+    heaviest boundary signal wins.  Raises Untestable when no vertex
+    qualifies.
     """
     _check_threshold(tau)
-    prior = instance.prior
+    prior, mu = instance.prior, instance._prior
     non_default = [a for a in instance.actions if a != instance.default_action]
 
     if _min_gap(instance, phi.evaluate(prior, prior, tau)) <= ATOL:
         raise NotSingleCrossing("distorted prior does not favor the default action")
 
-    best = None  # (useful_mass, state_idx, t, boundary posterior, crossing action)
-    for t_idx in range(instance.n_states):
-        vertex = vertex_belief(instance.n_states, t_idx)
-        if _min_gap(instance, phi.evaluate(prior, vertex, tau)) > ATOL:
+    candidates = []  # (useful_mass, state_idx, t_hat, crossing action) per vertex
+    for k in range(instance.n_states):
+
+        def image_gaps(t: float) -> list:
+            # t * vertex + (1 - t) * prior, a belief by construction.
+            point = Belief._trusted([(t if j == k else 0.0) + (1.0 - t) * p for j, p in enumerate(mu)])
+            return _gap_values(instance, phi.evaluate(prior, point, tau))
+
+        if min(image_gaps(1.0)) > ATOL:  # the vertex's image favors the default
             continue
-
-        def image_gap(t: float) -> float:
-            point = Belief(t * vertex.probs + (1.0 - t) * prior.probs)
-            return _min_gap(instance, phi.evaluate(prior, point, tau))
-
-        # image_gap(lo) > 0 >= image_gap(hi), within 80 halvings of [0, 1].
-        t_hat = _bisect(lambda t: image_gap(t) > 0.0, 0.0, 1.0, 2.0**-80)[1]
-        if abs(image_gap(t_hat)) > ATOL:
+        # min(image_gaps(lo)) > 0 >= min(image_gaps(hi)), within 80 halvings of [0, 1].
+        t_hat = _bisect(lambda t: min(image_gaps(t)) > 0.0, 0.0, 1.0, 2.0**-80)[1]
+        margins = image_gaps(t_hat)
+        if abs(min(margins)) > ATOL:
             raise NotSingleCrossing("bisection did not land on the boundary")
+        mass = mu[k] / (t_hat + (1.0 - t_hat) * mu[k])
+        candidates.append((mass, k, t_hat, non_default[margins.index(min(margins))]))
 
-        boundary = Belief(t_hat * vertex.probs + (1.0 - t_hat) * prior.probs)
-        margins = _gap_values(instance, phi.evaluate(prior, boundary, tau))
-        crossing_action = non_default[margins.index(min(margins))]
-        mass = float(prior.probs[t_idx]) / float(boundary.probs[t_idx])
-        if best is None or mass > best[0]:
-            best = (mass, t_idx, t_hat, boundary, crossing_action)
-
-    if best is None:
+    if not candidates:
         raise Untestable(tau)
 
-    mass, t_idx, t_hat, boundary, crossing_action = best
-    denom = float(boundary.probs[t_idx])  # = t + (1 - t) * prior[t_idx]
-    posteriors = [boundary]
-    weights = [mass]
-    signals = ["probe"]
-    for other in range(instance.n_states):
-        if other == t_idx:
-            continue
-        posteriors.append(vertex_belief(instance.n_states, other))
-        weights.append(t_hat * float(prior.probs[other]) / denom)
-        signals.append(f"reveal_{instance.states[other]}")
-
-    scheme = scheme_from_posteriors(instance, weights, posteriors, signals)
+    # The first of the heaviest, as a strict > scan would keep it.
+    mass, k, t_hat, crossing_action = max(candidates, key=lambda c: c[0])
+    n, probe = instance.n_states, mass * (1.0 - t_hat)
+    # Every state's column sums to one: state k sends the probe, state j the
+    # probe or reveal_j.
+    rows = (tuple(1.0 if j == k else probe for j in range(n)),)
+    rows += tuple(tuple(1.0 - probe if i == j else 0.0 for i in range(n)) for j in range(n) if j != k)
+    signals = ("probe", *(f"reveal_{instance.states[j]}" for j in range(n) if j != k))
     return FiniteSchemeResult(
-        scheme=scheme,
+        scheme=SignalingScheme._trusted(signals, rows),
         useful_mass=mass,
         boundary_signal="probe",
         crossing_action=crossing_action,
-        vertex_state=instance.states[t_idx],
+        vertex_state=instance.states[k],
     )

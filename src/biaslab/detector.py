@@ -14,9 +14,9 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .agent import BiasedAgent, _responder, _sampler
-from .core import ZERO_MASS, Instance, SignalingScheme, _bisect, _check_states
+from .core import ATOL, ZERO_MASS, Instance, SignalingScheme, _bisect, _check_states
 from .design import _knapsack, design_scheme
-from .errors import DegenerateParameters, NothingTestable, ShapeMismatch
+from .errors import DegenerateParameters, NothingTestable, ShapeMismatch, Untestable
 from .geometry import testable_range
 
 # Default step budget: the exact horizon for residual failure probability
@@ -306,8 +306,10 @@ def estimate_bias(
     range, so the interval is censored to [lo, 1]; the bracket is censored
     only then.  If the requested width already covers the whole searchable
     range, a single query at tau_max settles which side applies.  Raises
-    NothingTestable when no threshold is testable at all; an Untestable
-    query propagates like any other error.
+    NothingTestable when no threshold is testable at all: when tau_max is
+    at most ``ZERO_MASS``, or when a query is untestable and so is the
+    smallest positive threshold, since p* does not increase with tau.
+    Any other untestable query raises its Untestable.
 
     The agent treats expected utilities within ``ATOL`` as tied and then
     keeps the default action, so thresholds slightly above the level also
@@ -325,7 +327,16 @@ def estimate_bias(
 
     def at_or_above(tau: float) -> bool:
         # threshold_test's one trial, without its verdict or response memo.
-        _, rows, is_useful, max_steps = plan(tau)
+        try:
+            _, rows, is_useful, max_steps = plan(tau)
+        except Untestable:
+            # p* does not increase with tau: if the smallest positive double
+            # is untestable too, so is every threshold.
+            try:
+                plan(math.ulp(0.0))
+            except Untestable as smallest:
+                raise NothingTestable(f"no threshold is testable: p* <= ATOL = {ATOL} down to tau = {smallest.tau}") from None
+            raise
         s = _sampler(instance, rows)(rng, is_useful, max_steps)[2]
         return respond(rows[s], instance.actions[s]) == instance.default_action
 

@@ -307,9 +307,10 @@ class TestConstructFiniteScheme:
 
     @pytest.mark.parametrize("tau", [0.2, 0.5])
     def test_bisection_stops_at_double_resolution(self, twostate_instance, tau):
-        # The prior, two vertices, the boundary check and its margins take 5
-        # evaluations.  The bisection stops once its bracket holds two
-        # adjacent doubles, about 53 halvings in, not after a fixed 80.
+        # The prior, two vertices and one evaluation at the end point, which
+        # serves both the boundary check and the crossing action, take 4.
+        # The bisection stops once its bracket holds two adjacent doubles,
+        # about 53 halvings in, not after a fixed 80.
         counting = CountingBias()
         res = construct_finite_scheme(counting, twostate_instance, tau)
         assert res.vertex_state == "Good"
@@ -330,6 +331,30 @@ class TestConstructFiniteScheme:
                     assert splitting_check(inst, res.scheme) <= 1e-9
                     assert res.useful_mass > 0
         assert built > 10
+
+    def test_probe_lands_on_the_boundary(self):
+        # 200 seeded instances, 2 to 6 states and 2 to 4 actions, three models
+        # and four thresholds.  For every scheme built, the probe's posterior
+        # makes a level-tau agent indifferent between the crossing action
+        # and the default, the probe is sent with the useful mass, and the
+        # posteriors average back to the prior.
+        rng = np.random.default_rng(32)
+        built = 0
+        for _ in range(200):
+            inst = random_instance(rng, n_states=int(rng.integers(2, 7)), n_actions=int(rng.integers(2, 5)))
+            for phi in (LinearBias(), WarpedLinear(gamma=0.5), WarpedLinear(gamma=2.0)):
+                for tau in (0.1, 0.3, 0.5, 0.8):
+                    try:
+                        res = construct_finite_scheme(phi, inst, tau)
+                    except Untestable:
+                        continue
+                    built += 1
+                    post = bl.bayes_posterior(inst, res.scheme, res.boundary_signal)
+                    assert generalized_membership(phi, inst, post, res.crossing_action, tau)
+                    probe = res.scheme.signal_index(res.boundary_signal)
+                    assert abs(res.scheme.signal_probs(inst.prior)[probe] - res.useful_mass) <= 1e-15
+                    assert splitting_check(inst, res.scheme) <= 1e-15
+        assert built > 1000
 
     def test_linear_agrees_with_lp_route(self):
         rng = np.random.default_rng(13)

@@ -20,7 +20,7 @@ from biaslab import (
 )
 from biaslab import design as design_module, geometry
 from biaslab.cli import run_cli
-from biaslab.core import SignalingScheme
+from biaslab.core import ATOL, SignalingScheme, _fsum
 from biaslab.design import COEF_SNAP, _knapsack_design, _pair_row
 from biaslab.errors import (
     Infeasible,
@@ -494,6 +494,36 @@ class TestKnapsackDesign:
                 verify_design(inst, tau, res)
                 designs += 1
         assert designs > 1000
+
+    def test_agrees_with_highs(self):
+        # The closed form against an independent solver, HiGHS's dual simplex,
+        # on the same build_lp rows: 150 random two-action instances, 2 to 12
+        # states, utilities scaled by 10**k for k in [-6, 9]; the default is
+        # either action.  Above tau_max no LP is built, so nothing is compared.
+        rng = np.random.default_rng(2032)
+        taus = (0.1, 0.3, 0.5, 0.7, 0.9)
+        instances = compared = 0
+        while instances < 150:
+            n_states = int(rng.integers(2, 13))
+            prior = rng.dirichlet(np.ones(n_states))
+            utility = rng.normal(size=(2, n_states)) * 10.0 ** int(rng.integers(-6, 10))
+            try:
+                inst = make_instance([f"t{i}" for i in range(n_states)], ["a0", "a1"], prior, utility)
+            except NoUniqueDefault:
+                continue
+            instances += 1
+            for tau in taus:
+                if tau > geometry.testable_range(inst):
+                    continue
+                lp = build_lp(inst, tau)
+                expected = min(_fsum(lp.objective.tolist(), design_module._highs(lp).tolist()), 1.0)
+                if expected <= ATOL:
+                    with pytest.raises(Untestable):
+                        _knapsack_design(inst, tau)
+                    continue
+                assert _knapsack_design(inst, tau).useful_mass == pytest.approx(expected, rel=1e-12, abs=0.0)
+                compared += 1
+        assert compared > 400
 
 
 class TestKnownLpDefects:

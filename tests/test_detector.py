@@ -378,6 +378,24 @@ class TestEstimateBias:
         with pytest.raises(NothingTestable):
             estimate_bias(inst, BiasedAgent(w=0.5), 0.1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("mass", [1e-10, 8e-10])
+    def test_nothing_testable_below_atol(self, mass):
+        # tau_max is about 0.25, yet p* <= ATOL at every threshold, down to
+        # the smallest positive one: the search says that nothing is
+        # testable, not that its first query is untestable.
+        inst = bl.make_instance(["G", "B"], ["A", "P"], [mass, 1.0 - mass], [[1.0, -1.0], [0.0, 0.0]])
+        with pytest.raises(NothingTestable, match=r"p\* <= ATOL"):
+            estimate_bias(inst, BiasedAgent(w=0.3), 1e-3, np.random.default_rng(1))
+
+    def test_untestable_query_stays_untestable(self):
+        # p* is 2e-9 at the smallest threshold, but from tau about 5e-10 on
+        # the snap of small row coefficients (COEF_SNAP) drops G's entry, so
+        # the first query, at tau_max / 2, is untestable and says so.
+        inst = bl.make_instance(["G", "B"], ["A", "P"], [1e-9, 1.0 - 1e-9], [[1.0, -1.0], [0.0, 0.0]])
+        with pytest.raises(Untestable) as raised:
+            estimate_bias(inst, BiasedAgent(w=0.3), 1e-3, np.random.default_rng(1))
+        assert raised.value.tau == 0.5 * bl.testable_range(inst)
+
     def test_json(self, twostate_instance):
         iv = estimate_bias(twostate_instance, BiasedAgent(w=0.3), 0.1, np.random.default_rng(2))
         data = iv.to_json_dict()
@@ -517,7 +535,9 @@ class TestEstimateBiasQueries:
         """Make the search's queries play ``answers``: a verdict, or
         Untestable, per query.  Each query's design step raises Untestable
         or designs as before, and the agent then keeps the default action
-        for "at or above" and leaves it for "at or below"."""
+        for "at or above" and leaves it for "at or below".  A design past
+        the script, the search's check at the smallest threshold after an
+        untestable query, designs as before."""
         taus = []
 
         def planner(instance, real=bl.detector._planner):
@@ -525,7 +545,7 @@ class TestEstimateBiasQueries:
 
             def scripted(tau, *args):
                 taus.append(tau)
-                if answers[len(taus) - 1] is Untestable:
+                if len(taus) <= len(answers) and answers[len(taus) - 1] is Untestable:
                     raise Untestable(tau)
                 return plan(tau, *args)
 
@@ -544,7 +564,9 @@ class TestEstimateBiasQueries:
         taus = self._scripted(monkeypatch, script)
         with pytest.raises(Untestable):
             estimate_bias(twostate_instance, BiasedAgent(w=0.5), 1e-6, np.random.default_rng(0))
-        assert len(taus) == len(script)
+        # The script's queries, then one design at the smallest threshold,
+        # which is testable on this instance.
+        assert len(taus) == len(script) + 1 and taus[-1] == math.ulp(0.0)
 
     # An untestable query raises whatever answers came before it.  The two
     # "is_censored" tests keep their names from when these scripts ended in
@@ -564,6 +586,14 @@ class TestEstimateBiasQueries:
         self._scripted(monkeypatch, [Untestable])
         with pytest.raises(Untestable):
             estimate_bias(twostate_instance, BiasedAgent(w=0.5), 0.9, np.random.default_rng(0))
+
+    def test_untestable_down_to_the_smallest_threshold(self, twostate_instance, monkeypatch):
+        # When the design at the smallest threshold is untestable too, so is
+        # every threshold, whatever answers came before.
+        taus = self._scripted(monkeypatch, [Verdict.GEQ, Untestable, Untestable])
+        with pytest.raises(NothingTestable):
+            estimate_bias(twostate_instance, BiasedAgent(w=0.5), 1e-6, np.random.default_rng(0))
+        assert taus[-1] == math.ulp(0.0) and len(taus) == 3
 
 
 def test_three_action_search_near_tau_max():
