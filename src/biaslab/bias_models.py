@@ -11,8 +11,6 @@ even though the LP design route only applies to the linear model.
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, runtime_checkable
 
-import numpy as np
-
 from .core import (
     ATOL,
     Belief,
@@ -26,7 +24,8 @@ from .core import (
 from .errors import NotSingleCrossing, Untestable
 from .geometry import _gap_row
 
-_W_GRID = np.linspace(0.0, 1.0, 101)
+# The 101 doubles of numpy.linspace(0, 1, 101), bit for bit; k / 100 differs in 10.
+_W_GRID = tuple(k * 0.01 for k in range(100)) + (1.0,)
 
 
 @runtime_checkable
@@ -92,7 +91,7 @@ def _min_gap(instance: Instance, belief: Belief) -> float:
 
 def _level_path(phi: BiasFunction, instance: Instance, posterior: Belief) -> list:
     """``_min_gap`` of the distorted posterior at each level of ``_W_GRID``."""
-    return [_min_gap(instance, phi.evaluate(instance.prior, posterior, float(w))) for w in _W_GRID]
+    return [_min_gap(instance, phi.evaluate(instance.prior, posterior, w)) for w in _W_GRID]
 
 
 def _reexit(path: list) -> int | None:
@@ -119,12 +118,8 @@ class AssumptionReport:
 
     @property
     def all_passed(self) -> bool:
-        return (
-            self.endpoints_ok
-            and self.prior_anchored_ok
-            and self.single_crossing_ok
-            and self.interior_stable_ok
-        )
+        # Each failing kind adds exactly one counterexample.
+        return not self.counterexamples
 
 
 def check_assumptions(phi: BiasFunction, instance: Instance, probes: int, rng) -> AssumptionReport:
@@ -143,13 +138,13 @@ def check_assumptions(phi: BiasFunction, instance: Instance, probes: int, rng) -
 
     bad = [w for w, g in zip(_W_GRID, _level_path(phi, instance, prior)) if g <= 0.0]
     if bad:
-        found["prior_anchored"] = (prior, float(bad[0]))
+        found["prior_anchored"] = (prior, bad[0])
 
     for _ in range(probes):
-        posterior = Belief(rng.dirichlet(np.ones(instance.n_states)))
-        if (
-            np.max(np.abs(phi.evaluate(prior, posterior, 0.0).probs - posterior.probs)) > ATOL
-            or np.max(np.abs(phi.evaluate(prior, posterior, 1.0).probs - prior.probs)) > ATOL
+        posterior = Belief(rng.dirichlet([1.0] * instance.n_states))
+        if any(
+            max(abs(x - y) for x, y in zip(phi.evaluate(prior, posterior, w)._floats, end._floats)) > ATOL
+            for w, end in ((0.0, posterior), (1.0, prior))
         ):
             found.setdefault("endpoints", (posterior, None))
             continue
@@ -158,11 +153,10 @@ def check_assumptions(phi: BiasFunction, instance: Instance, probes: int, rng) -
         if _min_gap(instance, posterior) > ATOL:
             # Interior posterior: must stay in the default region throughout.
             if min(path) <= -ATOL:
-                w_bad = float(_W_GRID[int(np.argmin(path))])
-                found.setdefault("interior_stable", (posterior, w_bad))
+                found.setdefault("interior_stable", (posterior, _W_GRID[path.index(min(path))]))
         elif (k := _reexit(path)) is not None:
             # Exterior or boundary posterior: once inside, never back out.
-            found.setdefault("single_crossing", (posterior, float(_W_GRID[k])))
+            found.setdefault("single_crossing", (posterior, _W_GRID[k]))
 
     return AssumptionReport(
         endpoints_ok="endpoints" not in found,
@@ -197,10 +191,10 @@ def crossing_level(phi: BiasFunction, instance: Instance, posterior: Belief) -> 
     lo, hi = 0.0, 1.0
     for w, g in zip(_W_GRID, path):
         if g > ATOL:
-            hi = float(w)
+            hi = w
             break
         if g < -ATOL:
-            lo = float(w)
+            lo = w
     lo, hi, _ = _bisect(lambda w: not _min_gap(instance, phi.evaluate(prior, posterior, w)) > 0.0, lo, hi, 1e-12)
     return 0.5 * (lo + hi)
 
