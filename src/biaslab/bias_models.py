@@ -17,6 +17,7 @@ from .core import (
     Instance,
     SignalingScheme,
     _bisect,
+    _check_states,
     _check_threshold,
     _fsum,
     biased_belief,
@@ -78,6 +79,17 @@ def bias_function_from_config(config: Mapping) -> BiasFunction:
     raise ValueError(f"unknown bias model {model!r}")
 
 
+def _distorted(phi: BiasFunction, instance: Instance, posterior: Belief, w: float) -> Belief:
+    """``phi``'s belief at level ``w`` from the instance's prior and
+    ``posterior``.  Every model evaluation here goes through this step.
+    It raises ShapeMismatch, as ``agent_act`` does, when ``posterior`` or
+    the model's belief does not cover the instance's states."""
+    _check_states(instance, posterior.dim, "posterior")
+    belief = phi.evaluate(instance.prior, posterior, w)
+    _check_states(instance, belief.dim, "belief")
+    return belief
+
+
 def _gap_values(instance: Instance, belief: Belief) -> list:
     """gap . belief for each non-default action, in action order."""
     return [_fsum(gap, belief._floats) for gap in instance._gap_rows]
@@ -91,7 +103,7 @@ def _min_gap(instance: Instance, belief: Belief) -> float:
 
 def _level_path(phi: BiasFunction, instance: Instance, posterior: Belief) -> list:
     """``_min_gap`` of the distorted posterior at each level of ``_W_GRID``."""
-    return [_min_gap(instance, phi.evaluate(instance.prior, posterior, w)) for w in _W_GRID]
+    return [_min_gap(instance, _distorted(phi, instance, posterior, w)) for w in _W_GRID]
 
 
 def _reexit(path: list) -> int | None:
@@ -143,7 +155,7 @@ def check_assumptions(phi: BiasFunction, instance: Instance, probes: int, rng) -
     for _ in range(probes):
         posterior = Belief(rng.dirichlet([1.0] * instance.n_states))
         if any(
-            max(abs(x - y) for x, y in zip(phi.evaluate(prior, posterior, w)._floats, end._floats)) > ATOL
+            max(abs(x - y) for x, y in zip(_distorted(phi, instance, posterior, w)._floats, end._floats)) > ATOL
             for w, end in ((0.0, posterior), (1.0, prior))
         ):
             found.setdefault("endpoints", (posterior, None))
@@ -172,11 +184,11 @@ def crossing_level(phi: BiasFunction, instance: Instance, posterior: Belief) -> 
 
     None when the posterior already favors the default action.  Otherwise
     bisects the level and returns the crossing point to within 1e-12; a
-    coarse scan first rejects paths that cross more than once.
+    coarse scan first rejects paths that cross more than once.  Raises
+    ShapeMismatch unless ``posterior`` and the model's beliefs cover the
+    instance's states.
     """
-    prior = instance.prior
-
-    g0 = _min_gap(instance, phi.evaluate(prior, posterior, 0.0))
+    g0 = _min_gap(instance, _distorted(phi, instance, posterior, 0.0))
     if g0 > ATOL:
         return None
     if abs(g0) <= ATOL:
@@ -195,7 +207,9 @@ def crossing_level(phi: BiasFunction, instance: Instance, posterior: Belief) -> 
             break
         if g < -ATOL:
             lo = w
-    lo, hi, _ = _bisect(lambda w: not _min_gap(instance, phi.evaluate(prior, posterior, w)) > 0.0, lo, hi, 1e-12)
+    lo, hi, _ = _bisect(
+        lambda w: not _min_gap(instance, _distorted(phi, instance, posterior, w)) > 0.0, lo, hi, 1e-12
+    )
     return 0.5 * (lo + hi)
 
 
@@ -204,7 +218,7 @@ def generalized_membership(phi: BiasFunction, instance: Instance, mu: Belief, ac
     between ``action`` and the default, with both weakly optimal?"""
     row = _gap_row(instance, action)
     _check_threshold(tau)
-    values = _gap_values(instance, phi.evaluate(instance.prior, mu, tau))
+    values = _gap_values(instance, _distorted(phi, instance, mu, tau))
     return abs(values[row]) <= ATOL and min(values) >= -ATOL
 
 
@@ -241,10 +255,10 @@ def construct_finite_scheme(phi: BiasFunction, instance: Instance, tau: float) -
     qualifies.
     """
     _check_threshold(tau)
-    prior, mu = instance.prior, instance._prior
+    mu = instance._prior
     non_default = [a for a in instance.actions if a != instance.default_action]
 
-    if _min_gap(instance, phi.evaluate(prior, prior, tau)) <= ATOL:
+    if _min_gap(instance, _distorted(phi, instance, instance.prior, tau)) <= ATOL:
         raise NotSingleCrossing("distorted prior does not favor the default action")
 
     candidates = []  # (useful_mass, state_idx, t_hat, crossing action) per vertex
@@ -253,7 +267,7 @@ def construct_finite_scheme(phi: BiasFunction, instance: Instance, tau: float) -
         def image_gaps(t: float) -> list:
             # t * vertex + (1 - t) * prior, a belief by construction.
             point = Belief._trusted([(t if j == k else 0.0) + (1.0 - t) * p for j, p in enumerate(mu)])
-            return _gap_values(instance, phi.evaluate(prior, point, tau))
+            return _gap_values(instance, _distorted(phi, instance, point, tau))
 
         if min(image_gaps(1.0)) > ATOL:  # the vertex's image favors the default
             continue

@@ -54,9 +54,11 @@ def _fsum(a, b=None) -> float:
     ``math.fsum`` (Shewchuk 1997) sums exactly and rounds once, so no
     summation order, and so no library, BLAS kernel or CPU, can change a
     bit.  Every sum that reaches an output or a verdict goes through here.
-    Where no double holds the exact sum (inf - inf, or past the largest
-    double) it falls back to the left-to-right sum, NaN or inf as IEEE
-    arithmetic gives.  ``a`` and ``b`` are sequences of floats.
+    Where ``math.fsum`` raises, it falls back to the left-to-right sum,
+    NaN or inf as IEEE arithmetic gives.  It raises on inf - inf and
+    whenever a partial sum passes the largest double, also where the
+    exact sum is a double: 1e308 + 1e308 - 1e308 gives inf, not 1e308.
+    ``a`` and ``b`` are sequences of floats.
     """
     try:
         return math.fsum(a if b is None else map(mul, a, b))

@@ -39,6 +39,17 @@ from biaslab.core import ATOL, _fsum
 from conftest import random_belief, random_instance, random_scheme
 
 
+class TestFsum:
+    def test_falls_back_to_the_left_to_right_sum(self):
+        # math.fsum raises on inf - inf and on any partial sum past the
+        # largest double, even where the exact sum is a double (the last
+        # case sums to 1e308); _fsum then gives what IEEE arithmetic gives.
+        assert math.isnan(_fsum([math.inf, -math.inf]))
+        assert _fsum([1e308, 1e308]) == math.inf
+        assert _fsum([1e308, 1e308], [1.0, 1.0]) == math.inf
+        assert _fsum([1e308, 1e308, -1e308]) == math.inf
+
+
 class TestBelief:
     def test_valid(self):
         b = Belief(np.array([0.25, 0.75]))

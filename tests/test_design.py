@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -524,6 +525,58 @@ class TestKnapsackDesign:
                 assert _knapsack_design(inst, tau).useful_mass == pytest.approx(expected, rel=1e-12, abs=0.0)
                 compared += 1
         assert compared > 400
+
+    @staticmethod
+    def _exact_p_star(inst, lp) -> Fraction:
+        """p* of ``build_lp``'s two-action LP in exact arithmetic.
+
+        With pi = pi(a|.) for the non-default action a, the LP is the
+        continuous knapsack: maximize mu0 @ pi subject to row @ pi = 0 and
+        0 <= pi <= 1, with mu0 the objective's block and row the (a over d)
+        indifference row, both read from the LP as Fractions.  Every state
+        with row >= 0 goes to a in full; the budget they raise buys the
+        negative states in ascending order of |row_t| / mu0_t.
+        """
+        n = inst.n_states
+        block = slice((1 - inst.default_index) * n, (2 - inst.default_index) * n)
+        mu0 = [Fraction(x) for x in lp.objective[block].tolist()]
+        row = [Fraction(x) for x in lp.eq[0, block].tolist()]
+        pi = [Fraction(1 if r >= 0 else 0) for r in row]
+        budget = sum(r * p for r, p in zip(row, pi))
+        for t in sorted((t for t, r in enumerate(row) if r < 0), key=lambda t: -row[t] / mu0[t]):
+            pi[t] = min(Fraction(1), budget / -row[t])
+            budget += row[t] * pi[t]
+        assert sum(r * p for r, p in zip(row, pi)) == 0  # the indifference row holds exactly
+        return min(sum(m * p for m, p in zip(mu0, pi)), Fraction(1))
+
+    def test_agrees_with_exact_knapsack(self):
+        # p* of the closed form and of the simplex against the exact optimum
+        # of the same build_lp rows, so the rows' rounding and COEF_SNAP are
+        # taken as given: 300 random two-action instances, 2 to 8 states,
+        # utilities scaled by 10**k for k in [-6, 9], at fractions of tau_max
+        # up to tau_max itself.  The simplex drifts from the optimum as tau
+        # nears tau_max, hence its looser bound.
+        rng = np.random.default_rng(2033)
+        fractions_of_tau_max = (0.1, 0.3, 0.6, 0.9, 0.99, 0.999, 1.0)
+        instances = 0
+        while instances < 300:
+            n_states = int(rng.integers(2, 9))
+            prior = rng.dirichlet(np.ones(n_states))
+            utility = rng.normal(size=(2, n_states)) * 10.0 ** int(rng.integers(-6, 10))
+            try:
+                inst = make_instance([f"t{i}" for i in range(n_states)], ["a0", "a1"], prior, utility)
+            except NoUniqueDefault:
+                continue
+            tau_max = geometry.testable_range(inst)
+            if tau_max == 0.0:  # the default weakly dominates: nothing is testable
+                continue
+            instances += 1
+            for f in fractions_of_tau_max:
+                tau = f * tau_max
+                exact = self._exact_p_star(inst, build_lp(inst, tau))
+                assert exact > ATOL
+                assert _knapsack_design(inst, tau).useful_mass == pytest.approx(float(exact), rel=1e-15, abs=0.0)
+                assert design_scheme(inst, tau).useful_mass == pytest.approx(float(exact), rel=1e-11, abs=0.0)
 
 
 class TestKnownLpDefects:

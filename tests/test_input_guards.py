@@ -9,6 +9,8 @@ A second table holds the calls that must reject a scheme or belief over
 another number of states than the instance's.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,10 @@ from biaslab import (
     agent_act,
     bayes_posterior,
     best_response,
+    biased_belief,
+    check_assumptions,
     construct_finite_scheme,
+    crossing_level,
     design_scheme,
     empirical_sample_complexity,
     generalized_membership,
@@ -86,6 +91,17 @@ def _test_on_design(inst, useful, max_steps=1000):
     return threshold_test_on_scheme(inst, scheme, useful, BiasedAgent(w=0.3), np.random.default_rng(0), max_steps)
 
 
+@dataclass(frozen=True)
+class DroppingBias:
+    """The linear mix without its last entry: a belief over one state too
+    few, which sums of products over the states would silently truncate."""
+
+    name: str = field(default="dropping", init=False)
+
+    def evaluate(self, prior, posterior, w):
+        return Belief._trusted(biased_belief(prior, posterior, w)._floats[:-1])
+
+
 # Each pair of actions differs by 2e308 in some state, which overflows; in
 # the three-action case only the two non-default actions do.
 OVERFLOW_2X2 = [[1e308, -1e308], [-1e308, 1e308]]
@@ -117,6 +133,14 @@ GUARDS = [
     ("membership-default", lambda inst: generalized_membership(LinearBias(), inst, HALF, "Passive", 0.5), DefaultActionGap, "no gap vector"),
     ("membership-tau", lambda inst: generalized_membership(LinearBias(), inst, HALF, "Active", 1.0), OutOfRangeThreshold, "outside"),
     ("finite-scheme-tau", lambda inst: construct_finite_scheme(LinearBias(), inst, 0.0), OutOfRangeThreshold, "outside"),
+    ("model-belief-crossing-level", lambda inst: crossing_level(DroppingBias(), inst, Belief([0.9, 0.1])),
+     ShapeMismatch, "belief state count 1 does not match the instance's 2"),
+    ("model-belief-finite-scheme", lambda inst: construct_finite_scheme(DroppingBias(), inst, 0.5),
+     ShapeMismatch, "belief state count 1 does not match the instance's 2"),
+    ("model-belief-membership", lambda inst: generalized_membership(DroppingBias(), inst, HALF, "Active", 0.5),
+     ShapeMismatch, "belief state count 1 does not match the instance's 2"),
+    ("model-belief-assumptions", lambda inst: check_assumptions(DroppingBias(), inst, 5, np.random.default_rng(0)),
+     ShapeMismatch, "belief state count 1 does not match the instance's 2"),
     ("translated-set-tau", lambda inst: translated_set_nonempty(inst, "Active", 1.0), OutOfRangeThreshold, "outside"),
     ("verify-wrong-shape", _wrong_shape_design, VerificationFailed, "shape"),
     ("verify-swapped-labels", lambda inst: _relabelled_design(inst, ("Passive", "Active")), VerificationFailed, "are not the actions"),
@@ -174,6 +198,8 @@ STATE_COUNT_CALLS = {
     ),
     "splitting_check": lambda inst, scheme, belief: splitting_check(inst, scheme),
     "best_response": lambda inst, scheme, belief: best_response(inst, belief),
+    "crossing_level": lambda inst, scheme, belief: crossing_level(LinearBias(), inst, belief),
+    "generalized_membership": lambda inst, scheme, belief: generalized_membership(LinearBias(), inst, belief, "Active", 0.5),
 }
 
 
